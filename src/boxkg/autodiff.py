@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Implements exactly the operations the scoring and loss graphs need.  All
-data and gradients are float64.  Branch selections (``where``, ``relu``,
-``absolute``) propagate the subgradient of the branch taken in the forward
-pass; closed comparisons keep boundary points on the first branch.
-Backward closures skip work for parents that do not require gradients.
+Implements exactly the operations the scoring and loss graphs need; the
+point-to-box score itself is one fused op, ``model.box_score_rows``.  All
+data and gradients are float64.  ``relu`` propagates the subgradient of the
+branch taken in the forward pass, with zero at the kink.  Backward closures
+skip work for parents that do not require gradients.
 """
 
 from __future__ import annotations
@@ -87,18 +87,6 @@ class Tensor:
     def __rsub__(self, other):
         return sub(other, self)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -149,18 +137,6 @@ def mul(a, b) -> Tensor:
     return _node(a.data * b.data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / b.data)
-        if b.requires_grad:
-            b._accumulate(-g * a.data / (b.data * b.data))
-
-    return _node(a.data / b.data, (a, b), backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
@@ -183,26 +159,6 @@ def relu(a) -> Tensor:
     return _node(np.where(mask, a.data, 0.0), (a,), backward)
 
 
-def absolute(a) -> Tensor:
-    a = as_tensor(a)
-    sign = np.sign(a.data)
-
-    def backward(g):
-        a._accumulate(g * sign)
-
-    return _node(np.abs(a.data), (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accumulate(g * 0.5 / out_data)
-
-    return _node(out_data, (a,), backward)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
@@ -211,15 +167,6 @@ def exp(a) -> Tensor:
         a._accumulate(g * out_data)
 
     return _node(out_data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    return _node(np.log(a.data), (a,), backward)
 
 
 def softplus(a) -> Tensor:
@@ -241,20 +188,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def where(condition: np.ndarray, a, b) -> Tensor:
-    """Select per element by a constant boolean mask (no gradient to it)."""
-    a, b = as_tensor(a), as_tensor(b)
-    condition = np.asarray(condition, dtype=bool)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.where(condition, g, 0.0))
-        if b.requires_grad:
-            b._accumulate(np.where(condition, 0.0, g))
-
-    return _node(np.where(condition, a.data, b.data), (a, b), backward)
 
 
 _SCATTER_MATMUL_BUDGET = 1 << 24  # indicator-matrix elements; ~128 MB float64
@@ -279,18 +212,6 @@ def take_rows(a, index: np.ndarray) -> Tensor:
             a._accumulate(buf)
 
     return _node(a.data[index], (a,), backward)
-
-
-def narrow(a, start: int, stop: int) -> Tensor:
-    """Slice rows [start:stop) along axis 0 (forward is a view)."""
-    a = as_tensor(a)
-
-    def backward(g):
-        buf = np.zeros_like(a.data)
-        buf[start:stop] = g
-        a._accumulate(buf)
-
-    return _node(a.data[start:stop], (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:

@@ -48,6 +48,7 @@ from .model import (
     MODE_MLP_BOXE,
     ModelConfig,
     check_dataset_compat,
+    check_features,
     load_model,
     materialize,
     save_model,
@@ -199,21 +200,24 @@ def _cmd_train(args) -> int:
     if args.threads != 1:
         raise UsageError("only --threads 1 (deterministic mode) is supported")
     dataset = load_dataset_dir(args.data)
-    model_config = _resolve_train_mode(args, dataset)
-    loss = LossConfig(kind=args.loss, margin=args.margin, adv_alpha=args.adv_alpha)
-    train_config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        learning_rate=args.lr,
-        num_negatives=args.negatives,
-        use_class_facts=args.classes == "on",
-        unary_weight=args.unary_weight,
-        loss=loss,
-        eval_every=args.eval_every,
-        patience=args.patience,
-        eval_metric=args.eval_metric,
-    )
+    try:
+        model_config = _resolve_train_mode(args, dataset)
+        loss = LossConfig(kind=args.loss, margin=args.margin, adv_alpha=args.adv_alpha)
+        train_config = TrainConfig(
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            seed=args.seed,
+            learning_rate=args.lr,
+            num_negatives=args.negatives,
+            use_class_facts=args.classes == "on",
+            unary_weight=args.unary_weight,
+            loss=loss,
+            eval_every=args.eval_every,
+            patience=args.patience,
+            eval_metric=args.eval_metric,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     params, log = train(dataset, model_config, train_config)
     out = ensure_dir(args.out)
     save_model(params, out / "model.json")
@@ -310,6 +314,7 @@ def _cmd_baseline(args) -> int:
     else:
         if dataset.features is None:
             raise DataError("the mlp baseline requires a dataset with features")
+        check_features(dataset.features)
         clf = mlp_classifier_train(
             dataset.features,
             dataset.labels.train,

@@ -1,4 +1,4 @@
-"""Axis-aligned boxes and point-to-box scoring primitives.
+"""Point-to-box distance and norm for materialized (plain numpy) scoring.
 
 Boxes are closed: boundary points count as inside.  The distance between a
 point and a box is computed coordinate-wise with a piecewise rule that is
@@ -15,8 +15,6 @@ two branches coincide with plain ``|p - c|``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 VALID_NORM_ORDERS = (1, 2)
@@ -26,51 +24,6 @@ def check_norm_order(order: int) -> int:
     if order not in VALID_NORM_ORDERS:
         raise ValueError(f"norm order must be 1 or 2, got {order!r}")
     return int(order)
-
-
-@dataclass(frozen=True, eq=False)
-class Box:
-    """Closed axis-aligned hyper-rectangle given by its two corners."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=np.float64)
-        upper = np.asarray(self.upper, dtype=np.float64)
-        if lower.ndim != 1 or upper.ndim != 1:
-            raise ValueError("box corners must be 1-D vectors")
-        if lower.shape != upper.shape:
-            raise ValueError(
-                f"corner dimensions differ: {lower.shape} vs {upper.shape}"
-            )
-        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-            raise ValueError("box corners must be finite")
-        if np.any(lower > upper):
-            raise ValueError("box requires lower <= upper elementwise")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower + 1.0
-
-
-def box_width(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    return np.asarray(upper) - np.asarray(lower) + 1.0
-
-
-def box_kappa(width: np.ndarray) -> np.ndarray:
-    width = np.asarray(width)
-    return 0.5 * (width - 1.0) * (width - 1.0 / width)
 
 
 def piecewise_distance(points, lower, upper) -> np.ndarray:
@@ -92,45 +45,3 @@ def lx_norm(values: np.ndarray, order: int, axis: int = -1) -> np.ndarray:
     if order == 1:
         return np.sum(np.abs(values), axis=axis)
     return np.sqrt(np.sum(values * values, axis=axis))
-
-
-def _check_dims(point: np.ndarray, box: Box) -> np.ndarray:
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape[-1] != box.dim:
-        raise ValueError(
-            f"point dimension {point.shape[-1]} does not match box dimension {box.dim}"
-        )
-    if not np.all(np.isfinite(point)):
-        raise ValueError("point must be finite")
-    return point
-
-
-def point_box_distance(point, box: Box) -> np.ndarray:
-    """Coordinate-wise distance of a d-vector (or batch of them) to a box."""
-    point = _check_dims(point, box)
-    return piecewise_distance(point, box.lower, box.upper)
-
-
-def score_unary(entity_final, class_box: Box, norm: int = 2) -> float:
-    """Plausibility of a class-membership fact: lower is more plausible."""
-    dist = point_box_distance(entity_final, class_box)
-    return float(lx_norm(dist, norm))
-
-
-def score_binary(
-    head_final,
-    tail_final,
-    head_box: Box,
-    tail_box: Box,
-    norm: int = 2,
-) -> float:
-    """Plausibility of a binary fact from the two translated entity points."""
-    head_dist = point_box_distance(head_final, head_box)
-    tail_dist = point_box_distance(tail_final, tail_box)
-    return float(lx_norm(head_dist, norm) + lx_norm(tail_dist, norm))
-
-
-def contains(box: Box, point) -> bool:
-    """Closed membership test: boundary points are inside."""
-    point = _check_dims(point, box)
-    return bool(np.all((point >= box.lower) & (point <= box.upper)))

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import autodiff as ad
-from .data import DataError, Fact, Unary, Vocabulary
+from .data import DataError, Vocabulary
 from .geometry import check_norm_order, lx_norm, piecewise_distance
 
 if TYPE_CHECKING:
@@ -127,14 +127,6 @@ def mlp_forward(mlp: MlpParams, x: np.ndarray) -> np.ndarray:
         if i < last:
             h = np.maximum(h, 0.0)
     return h
-
-
-def mlp_zeroed(input_dim: int, hidden: tuple[int, ...], output_dim: int) -> MlpParams:
-    sizes = [input_dim, *hidden, output_dim]
-    return MlpParams(
-        [np.zeros((a, b)) for a, b in zip(sizes, sizes[1:])],
-        [np.zeros(b) for b in sizes[1:]],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +349,11 @@ class ExplicitConfig:
         return self.positions.shape[1]
 
 
-def empty_boxes(d: int) -> np.ndarray:
-    return np.zeros((0, d))
+def check_features(features: np.ndarray) -> None:
+    """Raise ``DataError`` naming the first row with a non-finite feature."""
+    bad_rows = np.flatnonzero(~np.all(np.isfinite(features), axis=1))
+    if bad_rows.size:
+        raise DataError(f"non-finite feature in row {int(bad_rows[0])}")
 
 
 def materialize(params: ModelParams, features: np.ndarray | None = None) -> ExplicitConfig:
@@ -366,6 +361,7 @@ def materialize(params: ModelParams, features: np.ndarray | None = None) -> Expl
     if params.config.feature_mode:
         if features is None:
             raise DataError("feature mode requires a feature matrix")
+        check_features(features)
         scale = params.config.scale
         positions = scale * params.point_emb + mlp_forward(params.mlp_point, features)
         bumps = scale * params.bump_emb + mlp_forward(params.mlp_bump, features)
@@ -388,21 +384,15 @@ def materialize(params: ModelParams, features: np.ndarray | None = None) -> Expl
     )
 
 
-def entity_representation(
-    params: ModelParams, entity: int, features: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Position and bump vector of one entity (embedding + MLP in feature mode)."""
-    if not 0 <= entity < params.n_entities:
-        raise IndexError(f"entity index {entity} out of range")
-    if params.config.feature_mode:
-        if features is None:
-            raise DataError("feature mode requires a feature matrix")
-        x = features[entity]
-        scale = params.config.scale
-        position = scale * params.point_emb[entity] + mlp_forward(params.mlp_point, x)
-        bump = scale * params.bump_emb[entity] + mlp_forward(params.mlp_bump, x)
-        return position, bump
-    return params.point_emb[entity].copy(), params.bump_emb[entity].copy()
+def _binary_scores(cfg: ExplicitConfig, rel, head_pos, head_bump, tail_pos, tail_bump):
+    """Translate each side by the other's bump and add the two box scores."""
+    head_dist = piecewise_distance(
+        head_pos + tail_bump, cfg.rel_head_lower[rel], cfg.rel_head_upper[rel]
+    )
+    tail_dist = piecewise_distance(
+        tail_pos + head_bump, cfg.rel_tail_lower[rel], cfg.rel_tail_upper[rel]
+    )
+    return lx_norm(head_dist, cfg.norm) + lx_norm(tail_dist, cfg.norm)
 
 
 def config_unary_scores(cfg: ExplicitConfig, cls, ent) -> np.ndarray:
@@ -418,17 +408,9 @@ def config_binary_scores(cfg: ExplicitConfig, rel, head, tail) -> np.ndarray:
     rel = np.asarray(rel, dtype=np.intp)
     head = np.asarray(head, dtype=np.intp)
     tail = np.asarray(tail, dtype=np.intp)
-    head_final = cfg.positions[head] + cfg.bumps[tail]
-    tail_final = cfg.positions[tail] + cfg.bumps[head]
-    head_dist = piecewise_distance(head_final, cfg.rel_head_lower[rel], cfg.rel_head_upper[rel])
-    tail_dist = piecewise_distance(tail_final, cfg.rel_tail_lower[rel], cfg.rel_tail_upper[rel])
-    return lx_norm(head_dist, cfg.norm) + lx_norm(tail_dist, cfg.norm)
-
-
-def config_score_fact(cfg: ExplicitConfig, fact: Fact) -> float:
-    if isinstance(fact, Unary):
-        return float(config_unary_scores(cfg, [fact.cls], [fact.ent])[0])
-    return float(config_binary_scores(cfg, [fact.rel], [fact.head], [fact.tail])[0])
+    return _binary_scores(
+        cfg, rel, cfg.positions[head], cfg.bumps[head], cfg.positions[tail], cfg.bumps[tail]
+    )
 
 
 def config_class_scores(cfg: ExplicitConfig, ent) -> np.ndarray:
@@ -436,53 +418,20 @@ def config_class_scores(cfg: ExplicitConfig, ent) -> np.ndarray:
     ent = np.asarray(ent, dtype=np.intp)
     points = cfg.positions[ent][:, None, :]
     dist = piecewise_distance(points, cfg.class_lower[None], cfg.class_upper[None])
-    return lx_norm(dist, cfg.norm, axis=2)
+    return lx_norm(dist, cfg.norm)
 
 
 def config_scores_all_heads(cfg: ExplicitConfig, rel: int, tail: int) -> np.ndarray:
     """Scores of rel(h, tail) for every candidate head h."""
-    head_final = cfg.positions + cfg.bumps[tail]
-    tail_final = cfg.positions[tail][None, :] + cfg.bumps
-    head_dist = piecewise_distance(head_final, cfg.rel_head_lower[rel], cfg.rel_head_upper[rel])
-    tail_dist = piecewise_distance(tail_final, cfg.rel_tail_lower[rel], cfg.rel_tail_upper[rel])
-    return lx_norm(head_dist, cfg.norm) + lx_norm(tail_dist, cfg.norm)
+    return _binary_scores(
+        cfg, rel, cfg.positions, cfg.bumps, cfg.positions[tail], cfg.bumps[tail]
+    )
 
 
 def config_scores_all_tails(cfg: ExplicitConfig, rel: int, head: int) -> np.ndarray:
     """Scores of rel(head, t) for every candidate tail t."""
-    head_final = cfg.positions[head][None, :] + cfg.bumps
-    tail_final = cfg.positions + cfg.bumps[head]
-    head_dist = piecewise_distance(head_final, cfg.rel_head_lower[rel], cfg.rel_head_upper[rel])
-    tail_dist = piecewise_distance(tail_final, cfg.rel_tail_lower[rel], cfg.rel_tail_upper[rel])
-    return lx_norm(head_dist, cfg.norm) + lx_norm(tail_dist, cfg.norm)
-
-
-def score_fact(params: ModelParams, fact: Fact, features: np.ndarray | None = None) -> float:
-    """Plausibility score of one fact (lower is more plausible)."""
-    if isinstance(fact, Unary):
-        if not 0 <= fact.cls < params.n_classes:
-            raise IndexError(f"class index {fact.cls} out of range")
-        position, _ = entity_representation(params, fact.ent, features)
-        lower, upper = box_corners(
-            params.class_center[fact.cls], params.class_size_raw[fact.cls]
-        )
-        return float(lx_norm(piecewise_distance(position, lower, upper), params.config.norm))
-    if not 0 <= fact.rel < params.n_relations:
-        raise IndexError(f"relation index {fact.rel} out of range")
-    head_pos, head_bump = entity_representation(params, fact.head, features)
-    tail_pos, tail_bump = entity_representation(params, fact.tail, features)
-    head_final = head_pos + tail_bump
-    tail_final = tail_pos + head_bump
-    h_lower, h_upper = box_corners(
-        params.rel_head_center[fact.rel], params.rel_head_size_raw[fact.rel]
-    )
-    t_lower, t_upper = box_corners(
-        params.rel_tail_center[fact.rel], params.rel_tail_size_raw[fact.rel]
-    )
-    norm = params.config.norm
-    return float(
-        lx_norm(piecewise_distance(head_final, h_lower, h_upper), norm)
-        + lx_norm(piecewise_distance(tail_final, t_lower, t_upper), norm)
+    return _binary_scores(
+        cfg, rel, cfg.positions[head], cfg.bumps[head], cfg.positions, cfg.bumps
     )
 
 
@@ -520,64 +469,96 @@ def save_model(params: ModelParams, path) -> None:
 
 
 def load_model(path) -> ModelParams:
+    """Read a checkpoint; malformed content raises ``DataError``.
+
+    Every tensor must be present, finite and shaped as the stored counts
+    and ``d`` imply, and each feature MLP must chain from ``feature_dim``
+    to ``d``; no other tensor may be present.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     except json.JSONDecodeError as exc:
         raise DataError(f"corrupt checkpoint {path}: {exc}") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a model checkpoint")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(
             f"checkpoint version {payload.get('format_version')} unsupported "
             f"(expected {CHECKPOINT_VERSION})"
         )
-    raw_cfg = payload["config"]
-    config = ModelConfig(
-        d=raw_cfg["d"],
-        norm=raw_cfg["norm"],
-        mode=raw_cfg["mode"],
-        embedding_scale=raw_cfg["embedding_scale"],
-        mlp_hidden=tuple(raw_cfg["mlp_hidden"]),
-        feature_dim=raw_cfg["feature_dim"],
-    )
-
-    def tensor(name: str) -> np.ndarray:
-        entry = payload["tensors"][name]
-        return np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-
-    mlp_point = mlp_bump = None
-    if config.feature_mode:
-        def load_mlp(prefix: str) -> MlpParams:
-            weights, biases, i = [], [], 0
-            while f"{prefix}.w{i}" in payload["tensors"]:
-                weights.append(tensor(f"{prefix}.w{i}"))
-                biases.append(tensor(f"{prefix}.b{i}"))
-                i += 1
-            return MlpParams(weights, biases)
-
-        mlp_point = load_mlp("mlp_point")
-        mlp_bump = load_mlp("mlp_bump")
-
-    params = ModelParams(
-        config=config,
-        point_emb=tensor("point_emb"),
-        bump_emb=tensor("bump_emb"),
-        class_center=tensor("class_center"),
-        class_size_raw=tensor("class_size_raw"),
-        rel_head_center=tensor("rel_head_center"),
-        rel_head_size_raw=tensor("rel_head_size_raw"),
-        rel_tail_center=tensor("rel_tail_center"),
-        rel_tail_size_raw=tensor("rel_tail_size_raw"),
-        mlp_point=mlp_point,
-        mlp_bump=mlp_bump,
-    )
-    if params.point_emb.shape[1] != config.d:
-        raise DataError(
-            f"checkpoint dimensionality mismatch: tensors have d={params.point_emb.shape[1]}"
-            f" but config says d={config.d}"
+    try:
+        raw_cfg = payload["config"]
+        config = ModelConfig(
+            d=raw_cfg["d"],
+            norm=raw_cfg["norm"],
+            mode=raw_cfg["mode"],
+            embedding_scale=raw_cfg["embedding_scale"],
+            mlp_hidden=tuple(raw_cfg["mlp_hidden"]),
+            feature_dim=raw_cfg["feature_dim"],
         )
-    return params
+        counts = {key: payload["counts"][key] for key in ("entities", "classes", "relations")}
+        tensors = {
+            name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            for name, entry in payload["tensors"].items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint {path}: {exc}") from exc
+
+    d = config.d
+    expected = {}
+    for count, names in (
+        ("entities", ("point_emb", "bump_emb")),
+        ("classes", ("class_center", "class_size_raw")),
+        ("relations", ("rel_head_center", "rel_head_size_raw",
+                       "rel_tail_center", "rel_tail_size_raw")),
+    ):
+        for name in names:
+            expected[name] = (counts[count], d)
+    # each MLP must chain from feature_dim to d; its hidden sizes are its own
+    n_layers = dict.fromkeys(("mlp_point", "mlp_bump"), 0) if config.feature_mode else {}
+    for prefix in n_layers:
+        fan_in = config.feature_dim
+        while f"{prefix}.w{n_layers[prefix]}" in tensors:
+            i = n_layers[prefix]
+            weight = tensors[f"{prefix}.w{i}"]
+            fan_out = weight.shape[-1] if weight.ndim == 2 else None
+            expected[f"{prefix}.w{i}"] = (fan_in, fan_out)
+            expected[f"{prefix}.b{i}"] = (fan_out,)
+            fan_in, n_layers[prefix] = fan_out, i + 1
+        if n_layers[prefix] == 0 or fan_in != d:
+            raise DataError(
+                f"checkpoint {path}: {prefix} does not map {config.feature_dim} features to d={d}"
+            )
+    if set(tensors) != set(expected):
+        missing = sorted(set(expected) - set(tensors))
+        unexpected = sorted(set(tensors) - set(expected))
+        raise DataError(
+            f"checkpoint {path}: missing tensors {missing}, unexpected tensors {unexpected}"
+        )
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise DataError(
+                f"checkpoint tensor {name} has shape {list(tensors[name].shape)},"
+                f" expected {list(shape)}"
+            )
+        if not np.all(np.isfinite(tensors[name])):
+            raise DataError(f"checkpoint tensor {name} has non-finite values")
+
+    def mlp(prefix: str) -> MlpParams | None:
+        if prefix not in n_layers:
+            return None
+        return MlpParams(
+            [tensors[f"{prefix}.w{i}"] for i in range(n_layers[prefix])],
+            [tensors[f"{prefix}.b{i}"] for i in range(n_layers[prefix])],
+        )
+
+    return ModelParams(
+        config=config,
+        **{name: tensors[name] for name in expected if not name.startswith("mlp_")},
+        mlp_point=mlp("mlp_point"),
+        mlp_bump=mlp("mlp_bump"),
+    )
 
 
 def check_dataset_compat(params: ModelParams, dataset) -> None:
@@ -651,12 +632,15 @@ def box_score_rows(
 ) -> "Tensor":
     """Fused piecewise-distance-plus-norm with a hand-derived backward pass.
 
-    Scores every row of ``points`` against one box (``(1, d)`` center/width)
-    or, with ``box_ids``, against the per-row box from ``(n_boxes, d)``
-    banks.  Kappa is derived internally, so the width gradient carries the
-    d(kappa)/d(width) term.  Boundary points take the inside-branch
-    subgradient; an all-zero distance row under the L2 norm gets a zero
-    subgradient instead of a division by zero.
+    Reduces over the last axis.  Without ``box_ids``, ``points`` and the
+    center/width boxes broadcast against each other, for example (n, 1, d)
+    points against (1, C, d) boxes for (n, C) scores; gradients are summed
+    back over the broadcast axes.  With ``box_ids``, each (n, d) point row
+    is scored against its own box from the (n_boxes, d) banks.  Kappa is
+    derived internally, so the width gradient carries the d(kappa)/d(width)
+    term.  Boundary points take the inside-branch subgradient; an all-zero
+    distance row under the L2 norm gets a zero subgradient instead of a
+    division by zero.
     """
     p = points.data
     if box_ids is None:
@@ -670,17 +654,17 @@ def box_score_rows(
     kappa = 0.5 * (w - 1.0) * (w - inv_w)
     dist = np.where(inside, offset * inv_w, offset * w - kappa)
     if order == 1:
-        norms = dist.sum(axis=1)
+        norms = dist.sum(axis=-1)
     else:
-        norms = np.sqrt((dist * dist).sum(axis=1))
+        norms = np.sqrt((dist * dist).sum(axis=-1))
 
     def backward(g):
-        gs = g[:, None]
+        gs = g[..., None]
         if order == 1:
             g_dist = np.broadcast_to(gs, dist.shape)
         else:
             with np.errstate(invalid="ignore", divide="ignore"):
-                unit = np.where(norms[:, None] > 0, dist / norms[:, None], 0.0)
+                unit = np.where(norms[..., None] > 0, dist / norms[..., None], 0.0)
             g_dist = gs * unit
         indicator = None
         if box_ids is not None and (center.requires_grad or width.requires_grad):
@@ -722,16 +706,12 @@ def unary_all_class_score_tensors(
 ) -> "Tensor":
     """Scores against every class box, shape (n_facts, n_classes)."""
     ent = np.asarray(ent, dtype=np.intp)
-    points = ad.take_rows(positions, ent)
+    points = ad.reshape(ad.take_rows(positions, ent), (len(ent), 1, params.d))
     center, width = _box_center_width(pt["class_center"], pt["class_size_raw"])
-    columns = []
-    for cls in range(params.n_classes):
-        idx = np.array([cls], dtype=np.intp)
-        col = box_score_rows(
-            points, ad.take_rows(center, idx), ad.take_rows(width, idx), params.config.norm
-        )
-        columns.append(ad.reshape(col, (len(ent), 1)))
-    return columns[0] if len(columns) == 1 else ad.concat(columns, axis=1)
+    boxes = (1, params.n_classes, params.d)
+    return box_score_rows(
+        points, ad.reshape(center, boxes), ad.reshape(width, boxes), params.config.norm
+    )
 
 
 def binary_score_tensors(

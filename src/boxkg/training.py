@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .data import Binary, DataError, Dataset, Fact, Unary, Vocabulary
+from .data import DataError, Dataset
 from .model import (
     ModelConfig,
     ModelParams,
     binary_score_tensors,
+    check_features,
     init_params,
     materialize,
     param_tensors,
@@ -38,17 +39,6 @@ class NumericError(Exception):
 
 
 @dataclass(frozen=True)
-class NegSampleConfig:
-    """Corruption scheme: classes for unary facts, head-or-tail for binary."""
-
-    num_negatives: int = 100
-
-    def __post_init__(self):
-        if self.num_negatives < 1:
-            raise ValueError("num_negatives must be >= 1")
-
-
-@dataclass(frozen=True)
 class LossConfig:
     kind: str = "ns"
     margin: float = 5.0
@@ -65,32 +55,6 @@ class LossConfig:
 
 # ---------------------------------------------------------------------------
 # negative sampling
-
-
-def sample_negatives(
-    fact: Fact, vocab: Vocabulary, config: NegSampleConfig, rng: np.random.Generator
-) -> list[Fact]:
-    """Draw corruptions of one fact; they may coincide with other true facts."""
-    negatives: list[Fact] = []
-    if isinstance(fact, Unary):
-        if vocab.n_classes < 2:
-            raise DataError("cannot corrupt the class of a fact with a singleton class set")
-        for _ in range(config.num_negatives):
-            draw = int(rng.integers(0, vocab.n_classes - 1))
-            cls = draw + (draw >= fact.cls)
-            negatives.append(Unary(cls, fact.ent))
-        return negatives
-    if vocab.n_entities < 2:
-        raise DataError("cannot corrupt entities with fewer than two entities")
-    for _ in range(config.num_negatives):
-        corrupt_head = bool(rng.integers(0, 2))
-        if corrupt_head:
-            draw = int(rng.integers(0, vocab.n_entities - 1))
-            negatives.append(Binary(fact.rel, draw + (draw >= fact.head), fact.tail))
-        else:
-            draw = int(rng.integers(0, vocab.n_entities - 1))
-            negatives.append(Binary(fact.rel, fact.head, draw + (draw >= fact.tail)))
-    return negatives
 
 
 def _sample_unary_negative_classes(
@@ -116,45 +80,6 @@ def _sample_binary_negatives(
     neg_head = np.where(corrupt_head, draw + (draw >= head[:, None]), head[:, None])
     neg_tail = np.where(~corrupt_head, draw + (draw >= tail[:, None]), tail[:, None])
     return neg_head, neg_tail
-
-
-# ---------------------------------------------------------------------------
-# losses (scalar reference forms)
-
-
-def _softplus_np(x):
-    return np.logaddexp(0.0, x)
-
-
-def ns_loss(pos_score, neg_scores, margin: float, adv_alpha: float | None = None) -> float:
-    """Margin log-sigmoid loss; optional self-adversarial negative weighting."""
-    neg_scores = np.asarray(neg_scores, dtype=np.float64)
-    if neg_scores.size == 0:
-        raise ValueError("ns_loss requires at least one negative score")
-    if not (np.isfinite(pos_score) and np.all(np.isfinite(neg_scores))):
-        raise ValueError("scores must be finite")
-    pos_term = _softplus_np(pos_score - margin)
-    neg_terms = _softplus_np(margin - neg_scores)
-    if adv_alpha is None:
-        weights = np.full(neg_scores.shape, 1.0 / neg_scores.size)
-    else:
-        logits = -adv_alpha * neg_scores
-        logits = logits - logits.max()
-        weights = np.exp(logits)
-        weights /= weights.sum()
-    return float(pos_term + np.sum(weights * neg_terms))
-
-
-def ce_loss(pos_score, neg_scores) -> float:
-    """Cross entropy of the positive under a softmax over negated scores."""
-    neg_scores = np.asarray(neg_scores, dtype=np.float64)
-    if neg_scores.size == 0:
-        raise ValueError("ce_loss requires at least one negative score")
-    if not (np.isfinite(pos_score) and np.all(np.isfinite(neg_scores))):
-        raise ValueError("scores must be finite")
-    z = -np.concatenate([[pos_score], neg_scores.ravel()])
-    peak = z.max()
-    return float(np.log(np.sum(np.exp(z - peak))) + peak - z[0])
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +284,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.num_negatives < 1:
+            raise ValueError("num_negatives must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
         if self.eval_metric not in ("auto", "accuracy", "mrr", "loss"):
             raise ValueError(f"unknown eval metric {self.eval_metric!r}")
 
@@ -427,8 +356,10 @@ def train(
     """
     vocab = dataset.vocab
     features = dataset.features if model_config.feature_mode else None
-    if model_config.feature_mode and dataset.features is None:
-        raise DataError("feature mode requires a dataset with features")
+    if model_config.feature_mode:
+        if dataset.features is None:
+            raise DataError("feature mode requires a dataset with features")
+        check_features(dataset.features)
 
     init_seed, loop_seed = (
         int(s) for s in np.random.SeedSequence(train_config.seed).generate_state(2)

@@ -1,11 +1,13 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written with plain Python loops and scalar arithmetic,
-separate from the library's vectorized code paths, so that agreement is
-meaningful.
+Everything here is written with plain Python loops and scalar arithmetic
+(the losses with small numpy helpers), separate from the library's
+vectorized code paths, so that agreement is meaningful.
 """
 
 import math
+
+import numpy as np
 
 
 def ref_distance(p: float, lower: float, upper: float) -> float:
@@ -80,3 +82,38 @@ def ref_tail_ranks(config, fact, filter_facts) -> int:
         f.tail for f in filter_facts if f.rel == fact.rel and f.head == fact.head
     }
     return ref_rank(scores, fact.tail, known)
+
+
+def _softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+def ns_loss(pos_score, neg_scores, margin: float, adv_alpha: float | None = None) -> float:
+    """Margin log-sigmoid loss; optional self-adversarial negative weighting."""
+    neg_scores = np.asarray(neg_scores, dtype=np.float64)
+    if neg_scores.size == 0:
+        raise ValueError("ns_loss requires at least one negative score")
+    if not (np.isfinite(pos_score) and np.all(np.isfinite(neg_scores))):
+        raise ValueError("scores must be finite")
+    pos_term = _softplus(pos_score - margin)
+    neg_terms = _softplus(margin - neg_scores)
+    if adv_alpha is None:
+        weights = np.full(neg_scores.shape, 1.0 / neg_scores.size)
+    else:
+        logits = -adv_alpha * neg_scores
+        logits = logits - logits.max()
+        weights = np.exp(logits)
+        weights /= weights.sum()
+    return float(pos_term + np.sum(weights * neg_terms))
+
+
+def ce_loss(pos_score, neg_scores) -> float:
+    """Cross entropy of the positive under a softmax over negated scores."""
+    neg_scores = np.asarray(neg_scores, dtype=np.float64)
+    if neg_scores.size == 0:
+        raise ValueError("ce_loss requires at least one negative score")
+    if not (np.isfinite(pos_score) and np.all(np.isfinite(neg_scores))):
+        raise ValueError("scores must be finite")
+    z = -np.concatenate([[pos_score], neg_scores.ravel()])
+    peak = z.max()
+    return float(np.log(np.sum(np.exp(z - peak))) + peak - z[0])

@@ -34,7 +34,7 @@ from boxkg.expressive import (
     reconstruct_with_mlp,
     verify_separation,
 )
-from boxkg.geometry import box_kappa, box_width, piecewise_distance
+from boxkg.geometry import piecewise_distance
 from boxkg.model import (
     ExplicitConfig,
     ModelConfig,
@@ -256,7 +256,7 @@ def _random_explicit_config(rng, n_entities, n_classes, n_relations, d):
 
 
 def test_criterion_04_reconstruction_exactness():
-    from boxkg.model import config_score_fact, score_fact
+    from boxkg.model import config_binary_scores, config_unary_scores
 
     worst = 0.0
     for seed in range(20):
@@ -271,13 +271,15 @@ def test_criterion_04_reconstruction_exactness():
         point_mlp = mlp_init(k, (11, 7), d, rng)
         bump_mlp = mlp_init(k, (9,), d, rng)
         params = reconstruct_with_mlp(target, point_mlp, bump_mlp, features)
-        facts = [Unary(c, e) for c in range(n_cls) for e in range(n)]
-        facts += [
-            Binary(r, h, t) for r in range(n_rel) for h in range(n) for t in range(n)
-        ]
-        for fact in facts:
-            diff = abs(score_fact(params, fact, features) - config_score_fact(target, fact))
-            worst = max(worst, diff)
+        cfg = materialize(params, features)
+        cls, ent = np.divmod(np.arange(n_cls * n), n)
+        rel, head, tail = np.unravel_index(np.arange(n_rel * n * n), (n_rel, n, n))
+        diffs = np.concatenate([
+            config_unary_scores(cfg, cls, ent) - config_unary_scores(target, cls, ent),
+            config_binary_scores(cfg, rel, head, tail)
+            - config_binary_scores(target, rel, head, tail),
+        ])
+        worst = max(worst, float(np.abs(diffs).max()))
     assert worst < 1e-6
     report(4, f"max |reconstructed - target| = {worst:.2e} over 20 seeds, full fact spaces")
 

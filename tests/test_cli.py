@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, files written, reproducibility."""
 
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -153,6 +155,55 @@ class TestTrainEvaluate:
         )
         assert code == EXIT_OK
         assert (out / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "mutation", ["missing-tensor", "shape-overflow", "shape-transposed", "nan"]
+    )
+    def test_malformed_checkpoint_is_data_error(self, trained, synth_dir, tmp_path, mutation):
+        payload = json.loads((trained / "model.json").read_text())
+        tensors = payload["tensors"]
+        if mutation == "missing-tensor":
+            del tensors["bump_emb"]
+        elif mutation == "shape-overflow":
+            tensors["class_center"]["shape"][1] += 1
+        elif mutation == "shape-transposed":
+            tensors["rel_head_size_raw"]["shape"].reverse()
+        else:
+            tensors["point_emb"]["data"][3] = float("nan")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code = run("evaluate", "--checkpoint", bad, "--data", synth_dir, "--task", "classify")
+        assert code == EXIT_DATA
+
+    def test_non_finite_feature_is_data_error(self, synth_dir, tmp_path, capsys):
+        mlp_flags = ("--mode", "mlp-boxe", "--dim", 4, "--hidden", "8", "--epochs", 1,
+                     "--negatives", 2)
+        trained = tmp_path / "mlprun"
+        assert run("train", "--data", synth_dir, "--out", trained, *mlp_flags) == EXIT_OK
+        bad = tmp_path / "bad"
+        shutil.copytree(synth_dir, bad)
+        lines = (bad / "features.tsv").read_text().splitlines(keepends=True)
+        name, values = lines[3].split("\t")  # the header, then entity rows 0, 1, 2
+        lines[3] = f"{name}\tnan,{values.split(',', 1)[1]}"
+        (bad / "features.tsv").write_text("".join(lines))
+        capsys.readouterr()
+
+        out = tmp_path / "x"
+        assert run("train", "--data", bad, "--out", out, *mlp_flags) == EXIT_DATA
+        assert "row 2" in capsys.readouterr().err
+        assert not out.exists()
+        code = run(
+            "evaluate", "--checkpoint", trained / "model.json", "--data", bad,
+            "--task", "classify",
+        )
+        assert code == EXIT_DATA
+        assert run("baseline", "--data", bad, "--model", "mlp", "--hidden", "8") == EXIT_DATA
+
+    @pytest.mark.parametrize("flag", ["--negatives", "--batch-size", "--eval-every"])
+    def test_non_positive_training_flag_is_usage_error(self, synth_dir, tmp_path, flag):
+        out = tmp_path / "x"
+        assert run("train", "--data", synth_dir, "--out", out, "--epochs", 1, flag, 0) == EXIT_USAGE
+        assert not out.exists()
 
     def test_threads_other_than_one_rejected(self, synth_dir, tmp_path):
         code = run(

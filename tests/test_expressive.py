@@ -17,10 +17,17 @@ from boxkg.expressive import (
 from boxkg.model import (
     ExplicitConfig,
     config_binary_scores,
-    config_score_fact,
+    config_unary_scores,
+    materialize,
     mlp_init,
-    score_fact,
 )
+
+
+def score(config, fact) -> float:
+    """One fact's score through the materialized scorers."""
+    if isinstance(fact, Unary):
+        return float(config_unary_scores(config, [fact.cls], [fact.ent])[0])
+    return float(config_binary_scores(config, [fact.rel], [fact.head], [fact.tail])[0])
 
 
 def hand_base_config():
@@ -187,7 +194,7 @@ class TestExtendWithClasses:
         )
         perturbed.bumps[:, 2:] = 7.5
         for fact in full_unary_space(3, 2):
-            assert config_score_fact(perturbed, fact) == config_score_fact(extended, fact)
+            assert score(perturbed, fact) == score(extended, fact)
 
     def test_unverified_base_rejected(self):
         base = hand_base_config()
@@ -211,13 +218,13 @@ class TestExtendWithClasses:
 class TestReconstructWithMlp:
     def test_zero_mlps_copy_target_vectors(self):
         target = hand_base_config()
-        from boxkg.model import mlp_zeroed
-
+        rng = np.random.default_rng(0)
         k = 3
-        features = np.random.default_rng(0).standard_normal((3, k))
-        params = reconstruct_with_mlp(
-            target, mlp_zeroed(k, (4,), 2), mlp_zeroed(k, (4,), 2), features
-        )
+        features = rng.standard_normal((3, k))
+        point_mlp, bump_mlp = mlp_init(k, (4,), 2, rng), mlp_init(k, (4,), 2, rng)
+        for array in point_mlp.weights + point_mlp.biases + bump_mlp.weights + bump_mlp.biases:
+            array[:] = 0.0
+        params = reconstruct_with_mlp(target, point_mlp, bump_mlp, features)
         np.testing.assert_array_equal(params.point_emb, target.positions)
         np.testing.assert_array_equal(params.bump_emb, target.bumps)
 
@@ -230,10 +237,10 @@ class TestReconstructWithMlp:
         bump_mlp = mlp_init(k, (16,), target.d, rng)
         params = reconstruct_with_mlp(target, point_mlp, bump_mlp, features)
         assert params.config.scale == 1.0
+        config = materialize(params, features)
         worst = 0.0
         for fact in full_unary_space(3, 2) + full_binary_space(3, 1):
-            diff = abs(score_fact(params, fact, features) - config_score_fact(target, fact))
-            worst = max(worst, diff)
+            worst = max(worst, abs(score(config, fact) - score(target, fact)))
         assert worst < 1e-6
 
     def test_identical_features_absorbed_by_embeddings(self):
@@ -242,11 +249,9 @@ class TestReconstructWithMlp:
         features = np.tile(rng.standard_normal(3), (3, 1))
         point_mlp = mlp_init(3, (8,), 2, rng)
         bump_mlp = mlp_init(3, (8,), 2, rng)
-        params = reconstruct_with_mlp(target, point_mlp, bump_mlp, features)
+        config = materialize(reconstruct_with_mlp(target, point_mlp, bump_mlp, features), features)
         for fact in full_binary_space(3, 1):
-            assert score_fact(params, fact, features) == pytest.approx(
-                config_score_fact(target, fact), abs=1e-9
-            )
+            assert score(config, fact) == pytest.approx(score(target, fact), abs=1e-9)
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(3)

@@ -13,21 +13,32 @@ from boxkg.model import (
     check_dataset_compat,
     config_binary_scores,
     config_class_scores,
-    config_score_fact,
     config_scores_all_heads,
     config_scores_all_tails,
-    entity_representation,
+    config_unary_scores,
     init_params,
     inv_softplus,
     load_model,
     materialize,
     mlp_forward,
-    mlp_zeroed,
+    mlp_init,
     save_model,
-    score_fact,
     softplus,
 )
 from boxkg.training import LossConfig, TrainConfig, batch_gradients, FactBatch, train
+
+
+def score(config, fact) -> float:
+    """One fact's score through the materialized scorers."""
+    if isinstance(fact, Unary):
+        return float(config_unary_scores(config, [fact.cls], [fact.ent])[0])
+    return float(config_binary_scores(config, [fact.rel], [fact.head], [fact.tail])[0])
+
+
+def zero_mlps(params):
+    for mlp in (params.mlp_point, params.mlp_bump):
+        for array in mlp.weights + mlp.biases:
+            array[:] = 0.0
 
 
 def boxes_from_corners(params, bank, lower, upper):
@@ -81,19 +92,17 @@ class TestInit:
 class TestEntityRepresentation:
     def test_pure_mode_returns_stored_rows(self):
         params = init_params((4, 2, 1), ModelConfig(d=8, mode="boxe"), seed=2)
-        pos, bump = entity_representation(params, 2)
-        np.testing.assert_array_equal(pos, params.point_emb[2])
-        np.testing.assert_array_equal(bump, params.bump_emb[2])
+        config = materialize(params)
+        np.testing.assert_array_equal(config.positions, params.point_emb)
+        np.testing.assert_array_equal(config.bumps, params.bump_emb)
 
     def test_zero_mlp_halves_embeddings(self):
         cfg = ModelConfig(d=6, mode="mlp-boxe", mlp_hidden=(5,), feature_dim=3)
         params = init_params((4, 2, 1), cfg, seed=2)
-        params.mlp_point = mlp_zeroed(3, (5,), 6)
-        params.mlp_bump = mlp_zeroed(3, (5,), 6)
-        features = np.ones((4, 3))
-        pos, bump = entity_representation(params, 1, features)
-        np.testing.assert_allclose(pos, 0.5 * params.point_emb[1])
-        np.testing.assert_allclose(bump, 0.5 * params.bump_emb[1])
+        zero_mlps(params)
+        config = materialize(params, np.ones((4, 3)))
+        np.testing.assert_allclose(config.positions, 0.5 * params.point_emb)
+        np.testing.assert_allclose(config.bumps, 0.5 * params.bump_emb)
 
     def test_zero_embeddings_collapse_identical_features(self):
         cfg = ModelConfig(d=6, mode="mlp-boxe", mlp_hidden=(5,), feature_dim=3)
@@ -101,22 +110,23 @@ class TestEntityRepresentation:
         params.point_emb[:] = 0.0
         params.bump_emb[:] = 0.0
         features = np.tile(np.array([0.3, -1.0, 2.0]), (4, 1))
-        rep0 = entity_representation(params, 0, features)
-        rep3 = entity_representation(params, 3, features)
-        np.testing.assert_array_equal(rep0[0], rep3[0])
-        np.testing.assert_array_equal(rep0[1], rep3[1])
-        np.testing.assert_array_equal(rep0[0], mlp_forward(params.mlp_point, features[0]))
+        config = materialize(params, features)
+        np.testing.assert_array_equal(config.positions[0], config.positions[3])
+        np.testing.assert_array_equal(config.bumps[0], config.bumps[3])
+        np.testing.assert_array_equal(
+            config.positions[0], mlp_forward(params.mlp_point, features)[0]
+        )
 
     def test_missing_features_rejected(self):
         cfg = ModelConfig(d=6, mode="mlp-boxe", mlp_hidden=(5,), feature_dim=3)
         params = init_params((4, 2, 1), cfg, seed=2)
         with pytest.raises(DataError):
-            entity_representation(params, 0)
+            materialize(params)
 
     def test_index_out_of_range(self):
-        params = init_params((4, 2, 1), ModelConfig(d=8, mode="boxe"), seed=2)
+        config = materialize(init_params((4, 2, 1), ModelConfig(d=8, mode="boxe"), seed=2))
         with pytest.raises(IndexError):
-            entity_representation(params, 4)
+            config_unary_scores(config, [0], [4])
 
 
 class TestScoreFact:
@@ -137,9 +147,9 @@ class TestScoreFact:
             rel_tail_lower=(tail_center - 0.5)[None, :],
             rel_tail_upper=(tail_center + 0.5)[None, :],
         )
-        assert config_score_fact(config, Binary(0, 0, 1)) == 0.0
+        assert score(config, Binary(0, 0, 1)) == 0.0
         for head, tail in [(1, 0), (0, 2), (2, 1), (0, 0), (2, 2)]:
-            assert config_score_fact(config, Binary(0, head, tail)) > 0.5
+            assert score(config, Binary(0, head, tail)) > 0.5
 
     def test_zero_bumps_decompose_into_independent_sides(self):
         params = init_params((5, 2, 2), ModelConfig(d=4, mode="boxe"), seed=8)
@@ -169,8 +179,7 @@ class TestScoreFact:
             else:
                 fact = Binary(int(rng.integers(2)), int(rng.integers(5)), int(rng.integers(5)))
                 want = ref.ref_binary_score(config, fact.rel, fact.head, fact.tail)
-            assert score_fact(params, fact) == pytest.approx(want, abs=1e-12)
-            assert config_score_fact(config, fact) == pytest.approx(want, abs=1e-12)
+            assert score(config, fact) == pytest.approx(want, abs=1e-12)
 
     def test_feature_mode_matches_reference(self):
         rng = np.random.default_rng(11)
@@ -180,15 +189,13 @@ class TestScoreFact:
         config = materialize(params, features)
         for _ in range(20):
             fact = Binary(int(rng.integers(2)), int(rng.integers(4)), int(rng.integers(4)))
-            assert score_fact(params, fact, features) == pytest.approx(
-                ref.ref_binary_score(config, fact.rel, fact.head, fact.tail), abs=1e-12
-            )
+            want = ref.ref_binary_score(config, fact.rel, fact.head, fact.tail)
+            assert score(config, fact) == pytest.approx(want, abs=1e-12)
 
     def test_zeroed_mlps_reduce_to_scaled_plain_model(self):
         cfg = ModelConfig(d=6, mode="mlp-boxe", mlp_hidden=(4,), feature_dim=2)
         featured = init_params((5, 2, 2), cfg, seed=13)
-        featured.mlp_point = mlp_zeroed(2, (4,), 6)
-        featured.mlp_bump = mlp_zeroed(2, (4,), 6)
+        zero_mlps(featured)
         plain = ModelParams(
             config=ModelConfig(d=6, mode="boxe"),
             point_emb=0.5 * featured.point_emb,
@@ -200,12 +207,13 @@ class TestScoreFact:
             rel_tail_center=featured.rel_tail_center.copy(),
             rel_tail_size_raw=featured.rel_tail_size_raw.copy(),
         )
-        features = np.ones((5, 2))
+        featured_config = materialize(featured, np.ones((5, 2)))
+        plain_config = materialize(plain)
         rng = np.random.default_rng(14)
         for _ in range(20):
             fact = Binary(int(rng.integers(2)), int(rng.integers(5)), int(rng.integers(5)))
-            assert score_fact(featured, fact, features) == pytest.approx(
-                score_fact(plain, fact), abs=1e-12
+            assert score(featured_config, fact) == pytest.approx(
+                score(plain_config, fact), abs=1e-12
             )
 
     def test_all_candidate_scorers_agree_with_single_fact_scorer(self):
@@ -214,17 +222,11 @@ class TestScoreFact:
         heads = config_scores_all_heads(config, 1, 3)
         tails = config_scores_all_tails(config, 1, 3)
         for ent in range(6):
-            assert heads[ent] == pytest.approx(
-                config_score_fact(config, Binary(1, ent, 3)), abs=1e-12
-            )
-            assert tails[ent] == pytest.approx(
-                config_score_fact(config, Binary(1, 3, ent)), abs=1e-12
-            )
+            assert heads[ent] == pytest.approx(score(config, Binary(1, ent, 3)), abs=1e-12)
+            assert tails[ent] == pytest.approx(score(config, Binary(1, 3, ent)), abs=1e-12)
         class_scores = config_class_scores(config, [2])
         for cls in range(2):
-            assert class_scores[0, cls] == pytest.approx(
-                config_score_fact(config, Unary(cls, 2)), abs=1e-12
-            )
+            assert class_scores[0, cls] == pytest.approx(score(config, Unary(cls, 2)), abs=1e-12)
 
 
 class TestPermutationInvariance:
@@ -235,10 +237,11 @@ class TestPermutationInvariance:
         permuted = params.copy()
         permuted.point_emb[perm] = params.point_emb
         permuted.bump_emb[perm] = params.bump_emb
+        config, permuted_config = materialize(params), materialize(permuted)
         for _ in range(30):
             fact = Binary(int(rng.integers(2)), int(rng.integers(6)), int(rng.integers(6)))
             renamed = Binary(fact.rel, int(perm[fact.head]), int(perm[fact.tail]))
-            assert score_fact(params, fact) == score_fact(permuted, renamed)
+            assert score(config, fact) == score(permuted_config, renamed)
 
     def test_full_batch_training_ignores_fact_order(self):
         vocab = Vocabulary.from_names([f"e{i}" for i in range(5)], ["c0", "c1"], ["r0"])
@@ -286,19 +289,25 @@ class TestGradients:
         for name, grad in grads.items():
             np.testing.assert_array_equal(grad, 0.0)
 
-    def test_matches_finite_differences_small_model(self):
-        params = init_params((4, 3, 2), ModelConfig(d=4, mode="boxe"), seed=20)
+    # "full" scores every class (CE with unary_neg_cls=None), as joint-mlp does
+    @pytest.mark.parametrize(
+        "kind, norm, sampled",
+        [("ns", 2, True), ("ce", 1, False), ("ce", 2, False)],
+        ids=["ns-sampled-l2", "ce-full-l1", "ce-full-l2"],
+    )
+    def test_matches_finite_differences_small_model(self, kind, norm, sampled):
+        params = init_params((4, 3, 2), ModelConfig(d=4, norm=norm, mode="boxe"), seed=20)
         batch = FactBatch(
             unary_cls=np.array([0, 2]),
             unary_ent=np.array([1, 3]),
-            unary_neg_cls=np.array([[1, 2], [0, 1]]),
+            unary_neg_cls=np.array([[1, 2], [0, 1]]) if sampled else None,
             binary_rel=np.array([0, 1]),
             binary_head=np.array([0, 1]),
             binary_tail=np.array([2, 3]),
             binary_neg_head=np.array([[1, 3], [0, 2]]),
             binary_neg_tail=np.array([[2, 2], [3, 1]]),
         )
-        loss_cfg = LossConfig("ns", margin=2.0)
+        loss_cfg = LossConfig(kind, margin=2.0)
         _, grads = batch_gradients(params, batch, loss_cfg)
         live = params.param_dict()
         h = 1e-6
@@ -314,6 +323,53 @@ class TestGradients:
                 flat[j] = orig
                 fd = (up - down) / (2 * h)
                 assert abs(fd - gflat[j]) <= 1e-4 * max(abs(fd), abs(gflat[j]), 1e-4)
+
+    @pytest.mark.parametrize(
+        "kind, sampled",
+        [("ns", True), ("adv-ns", True), ("ce", True), ("ce", False)],
+        ids=["ns", "adv-ns", "ce-sampled", "ce-full"],
+    )
+    def test_loss_value_matches_reference(self, kind, sampled):
+        rng = np.random.default_rng(27)
+        params = init_params((5, 3, 2), ModelConfig(d=4, mode="boxe"), seed=28)
+        params.point_emb[:] = rng.uniform(-1.5, 1.5, params.point_emb.shape)
+        params.bump_emb[:] = rng.uniform(-1.5, 1.5, params.bump_emb.shape)
+        batch = FactBatch(
+            unary_cls=np.array([0, 2, 1]),
+            unary_ent=np.array([1, 3, 4]),
+            unary_neg_cls=np.array([[1, 2], [0, 1], [2, 0]]) if sampled else None,
+            binary_rel=np.array([0, 1]),
+            binary_head=np.array([0, 2]),
+            binary_tail=np.array([4, 3]),
+            binary_neg_head=np.array([[1, 0, 3], [2, 2, 4]]),
+            binary_neg_tail=np.array([[4, 2, 4], [0, 1, 3]]),
+        )
+        loss_cfg = LossConfig(kind, margin=2.0, adv_alpha=1.5)
+        got, _ = batch_gradients(params, batch, loss_cfg)
+
+        config = materialize(params)
+
+        def loss(pos, negs):
+            if kind == "ce":
+                return ref.ce_loss(pos, negs)
+            return ref.ns_loss(pos, negs, margin=2.0, adv_alpha=1.5 if kind == "adv-ns" else None)
+
+        terms = []
+        for i, (cls, ent) in enumerate(zip(batch.unary_cls, batch.unary_ent)):
+            others = batch.unary_neg_cls[i] if sampled else [c for c in range(3) if c != cls]
+            terms.append(loss(
+                ref.ref_unary_score(config, cls, ent),
+                [ref.ref_unary_score(config, c, ent) for c in others],
+            ))
+        for i, (rel, head, tail) in enumerate(
+            zip(batch.binary_rel, batch.binary_head, batch.binary_tail)
+        ):
+            negs = zip(batch.binary_neg_head[i], batch.binary_neg_tail[i])
+            terms.append(loss(
+                ref.ref_binary_score(config, rel, head, tail),
+                [ref.ref_binary_score(config, rel, h, t) for h, t in negs],
+            ))
+        assert got == pytest.approx(sum(terms) / len(terms), rel=1e-12)
 
     def test_empty_batch_rejected(self):
         params = init_params((4, 2, 1), ModelConfig(d=4, mode="boxe"), seed=21)
@@ -341,9 +397,17 @@ class TestCheckpoint:
         params = init_params((6, 2, 2), cfg, seed=24)
         features = rng.standard_normal((6, 3))
         loaded = self.roundtrip(params, tmp_path, features)
+        config, loaded_config = materialize(params, features), materialize(loaded, features)
         for _ in range(100):
             fact = Binary(int(rng.integers(2)), int(rng.integers(6)), int(rng.integers(6)))
-            assert score_fact(params, fact, features) == score_fact(loaded, fact, features)
+            assert score(config, fact) == score(loaded_config, fact)
+
+    def test_round_trip_mlps_of_different_depths(self, tmp_path):
+        rng = np.random.default_rng(30)
+        cfg = ModelConfig(d=3, mode="mlp-boxe", mlp_hidden=(4, 5), feature_dim=2)
+        params = init_params((4, 2, 1), cfg, seed=31)
+        params.mlp_bump = mlp_init(2, (6,), 3, rng)
+        self.roundtrip(params, tmp_path)
 
     def test_wrong_vocabulary_dimension_rejected(self, tmp_path):
         params = init_params((5, 2, 3), ModelConfig(d=6, mode="boxe"), seed=25)

@@ -1,4 +1,4 @@
-"""Negative sampling, losses, Adam, and the training loop."""
+"""Negative sampling, the reference losses, Adam, and the training loop."""
 
 import math
 
@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 
 from boxkg import training
-from boxkg.data import Binary, DataError, Dataset, LabelSplits, Unary, Vocabulary
-from boxkg.model import ModelConfig, score_fact
+from boxkg.data import Binary, DataError, Dataset, LabelSplits, Vocabulary
+from boxkg.model import ModelConfig, config_binary_scores, config_unary_scores, materialize
 from boxkg.training import (
     AdamState,
     LossConfig,
-    NegSampleConfig,
     TrainConfig,
+    _sample_binary_negatives,
+    _sample_unary_negative_classes,
     adam_step,
-    ce_loss,
-    ns_loss,
-    sample_negatives,
     train,
 )
+from reference import ce_loss, ns_loss
 
 
 def tiny_vocab(n_entities=4, n_classes=3, n_relations=2):
@@ -31,40 +30,34 @@ def tiny_vocab(n_entities=4, n_classes=3, n_relations=2):
 
 class TestSampleNegatives:
     def test_two_class_corruption_is_forced(self):
-        vocab = tiny_vocab(n_classes=2)
         rng = np.random.default_rng(0)
-        negs = sample_negatives(Unary(0, 1), vocab, NegSampleConfig(10), rng)
-        assert negs == [Unary(1, 1)] * 10
+        negs = _sample_unary_negative_classes(np.array([0]), 2, 10, rng)
+        np.testing.assert_array_equal(negs, [[1] * 10])
 
     def test_two_entity_binary_corruptions(self):
-        vocab = tiny_vocab(n_entities=2)
         rng = np.random.default_rng(1)
-        negs = sample_negatives(Binary(0, 0, 1), vocab, NegSampleConfig(200), rng)
-        assert set(negs) == {Binary(0, 1, 1), Binary(0, 0, 0)}
+        heads, tails = _sample_binary_negatives(np.array([0]), np.array([1]), 2, 200, rng)
+        assert set(zip(heads[0].tolist(), tails[0].tolist())) == {(1, 1), (0, 0)}
 
     def test_never_returns_the_original_fact(self):
-        vocab = tiny_vocab()
         rng = np.random.default_rng(2)
-        fact = Binary(1, 2, 3)
-        for neg in sample_negatives(fact, vocab, NegSampleConfig(500), rng):
-            assert neg != fact
-        unary = Unary(1, 0)
-        for neg in sample_negatives(unary, vocab, NegSampleConfig(500), rng):
-            assert neg.cls != unary.cls
-            assert neg.ent == unary.ent
+        heads, tails = _sample_binary_negatives(np.array([2]), np.array([3]), 4, 500, rng)
+        assert not np.any((heads == 2) & (tails == 3))
+        # exactly one side is corrupted
+        assert np.all((heads == 2) ^ (tails == 3))
+        classes = _sample_unary_negative_classes(np.array([1]), 3, 500, rng)
+        assert not np.any(classes == 1)
+        assert set(classes.ravel().tolist()) <= {0, 2}
 
     def test_corruption_side_is_roughly_uniform(self):
-        vocab = tiny_vocab(n_entities=30)
         rng = np.random.default_rng(3)
-        fact = Binary(0, 4, 9)
-        negs = sample_negatives(fact, vocab, NegSampleConfig(10_000), rng)
-        head_fraction = sum(1 for n in negs if n.head != fact.head) / len(negs)
+        heads, _ = _sample_binary_negatives(np.array([4]), np.array([9]), 30, 10_000, rng)
+        head_fraction = float(np.mean(heads != 4))
         assert 0.47 <= head_fraction <= 0.53
 
     def test_singleton_class_set_rejected(self):
-        vocab = tiny_vocab(n_classes=1)
         with pytest.raises(DataError):
-            sample_negatives(Unary(0, 0), vocab, NegSampleConfig(1), np.random.default_rng(0))
+            _sample_unary_negative_classes(np.array([0]), 1, 1, np.random.default_rng(0))
 
 
 class TestNsLoss:
@@ -269,18 +262,22 @@ class TestTrain:
         )
         params, log = train(ds, cfg, tc)
         assert not log.diverged
+        config = materialize(params)
+
+        def binary_score(fact):
+            return config_binary_scores(config, [fact.rel], [fact.head], [fact.tail])[0]
+
         edge_set = set(edges)
         for fact in edges:
-            score = score_fact(params, fact)
+            score = binary_score(fact)
             for ent in range(4):
                 head_corrupt = Binary(fact.rel, ent, fact.tail)
                 tail_corrupt = Binary(fact.rel, fact.head, ent)
                 for corrupted in (head_corrupt, tail_corrupt):
                     if corrupted != fact and corrupted not in edge_set:
-                        assert score < score_fact(params, corrupted)
+                        assert score < binary_score(corrupted)
         for ent, cls in labels.train.items():
-            score = score_fact(params, Unary(cls, ent))
-            other = score_fact(params, Unary(1 - cls, ent))
+            score, other = config_unary_scores(config, [cls, 1 - cls], [ent, ent])
             assert score < other
 
     def test_nothing_to_train_on_rejected(self):
