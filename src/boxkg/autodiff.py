@@ -9,6 +9,8 @@ skip work for parents that do not require gradients.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -49,7 +51,7 @@ class Tensor:
         self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self) -> None:
-        """Backpropagate from this node; seeds with a gradient of ones."""
+        """Backpropagate from this node, seeded with ones; only leaves keep a gradient."""
         order: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -68,6 +70,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar -------------------------------------------------
 
@@ -190,28 +193,60 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
-_SCATTER_MATMUL_BUDGET = 1 << 24  # indicator-matrix elements; ~128 MB float64
+# Largest target table that scatters by one-hot matmul; see ``scatter_rows``.
+SCATTER_MATMUL_ROWS = 32
+
+
+def scatter_rows(index: np.ndarray, g: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum the rows of ``g`` into an (n_rows, ...) array at rows ``index``.
+
+    Tables of at most ``SCATTER_MATMUL_ROWS`` rows use a one-hot matmul,
+    larger ones one flat ``bincount`` over ``index * width + column``.  On
+    one core of a Xeon the crossover lies at 32-64 rows for 256-51,200
+    gathered rows of width 32-128: BLAS wins when a few rows collect many
+    (the box banks), while a matmul onto a large table mostly multiplies
+    zeros.  The rule reads the shapes alone, so a given graph always sums in
+    the same order.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    width = math.prod(g.shape[1:])
+    flat = g.reshape(len(index), width)
+    if n_rows <= SCATTER_MATMUL_ROWS:
+        indicator = np.zeros((n_rows, len(index)))
+        indicator[index, np.arange(len(index))] = 1.0
+        out = indicator @ flat
+    else:
+        cells = (index[:, None] * width + np.arange(width)).ravel()
+        out = np.bincount(cells, weights=flat.ravel(), minlength=n_rows * width)
+    return out.reshape((n_rows,) + g.shape[1:])
 
 
 def take_rows(a, index: np.ndarray) -> Tensor:
-    """Gather rows along axis 0; scatter-adds the gradient back."""
+    """Gather rows along axis 0; the backward is ``scatter_rows``.
+
+    That is a one-hot matmul onto tables of at most ``SCATTER_MATMUL_ROWS``
+    rows (box banks, small tables) and a bincount onto larger entity tables.
+    """
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.intp)
 
     def backward(g):
-        n_rows = a.data.shape[0]
-        # np.add.at is unbuffered and slow; a one-hot matmul is much faster
-        # whenever the indicator matrix fits comfortably in memory
-        if g.ndim == 2 and n_rows * len(index) <= _SCATTER_MATMUL_BUDGET:
-            indicator = np.zeros((n_rows, len(index)))
-            indicator[index, np.arange(len(index))] = 1.0
-            a._accumulate(indicator @ g)
-        else:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, index, g)
-            a._accumulate(buf)
+        a._accumulate(scatter_rows(index, g, a.data.shape[0]))
 
     return _node(a.data[index], (a,), backward)
+
+
+def leaves(arrays: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """One gradient-tracking tensor per named array, for one forward pass."""
+    return {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
+
+
+def gradients(tensors: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Each tensor's gradient after ``backward``; zeros where the loss did not reach."""
+    return {
+        name: t.grad if t.grad is not None else np.zeros_like(t.data)
+        for name, t in tensors.items()
+    }
 
 
 def reshape(a, shape) -> Tensor:

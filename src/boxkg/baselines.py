@@ -15,8 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Dataset
-from .model import MlpParams, mlp_forward, mlp_init
-from .training import AdamState, adam_step
+from .model import MlpParams, mlp_forward, mlp_forward_tensors, mlp_init
+from .training import AdamState, adam_step, softmax_ce_vec
 
 
 @dataclass
@@ -125,37 +125,18 @@ def mlp_classifier_train(
     pairs = sorted(labels.items())
     x = features[[ent for ent, _ in pairs]]
     gold = np.array([cls for _, cls in pairs], dtype=np.intp)
-    onehot = np.zeros((len(gold), n_classes))
-    onehot[np.arange(len(gold)), gold] = 1.0
 
     rng = np.random.default_rng(seed)
     mlp = mlp_init(features.shape[1], config.hidden, n_classes, rng)
     opt = AdamState(lr=config.learning_rate)
-
-    names = []
-    live: dict[str, np.ndarray] = {}
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        live[f"w{i}"] = w
-        live[f"b{i}"] = b
-        names.append(i)
-
-    n_layers = len(mlp.weights)
+    live = {f"mlp.w{i}": w for i, w in enumerate(mlp.weights)}
+    live.update({f"mlp.b{i}": b for i, b in enumerate(mlp.biases)})
     for _ in range(config.epochs):
-        pt = {name: ad.Tensor(arr, requires_grad=True) for name, arr in live.items()}
-        h = ad.Tensor(x)
-        for i in range(n_layers):
-            h = ad.matmul(h, pt[f"w{i}"]) + pt[f"b{i}"]
-            if i < n_layers - 1:
-                h = ad.relu(h)
-        log_z = ad.logsumexp(h, axis=1)
-        gold_logit = ad.tsum(ad.mul(h, onehot), axis=1)
-        loss = ad.mul(ad.tsum(log_z - gold_logit), 1.0 / len(gold))
+        pt = ad.leaves(live)
+        logits = mlp_forward_tensors(pt, "mlp", len(mlp.weights), x)
+        loss = ad.mul(ad.tsum(softmax_ce_vec(logits, gold)), 1.0 / len(gold))
         loss.backward()
-        grads = {
-            name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-            for name, t in pt.items()
-        }
-        adam_step(opt, live, grads)
+        adam_step(opt, live, ad.gradients(pt))
     return MlpClassifier(mlp=mlp, n_classes=n_classes)
 
 

@@ -10,8 +10,15 @@ reproduced from its output directory alone.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+# Results are deterministic per seed only at a fixed BLAS thread count, so
+# every command runs on one thread (``--threads 1``).  The limit must be set
+# before numpy is first imported.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
 from .baselines import (
     MlpClassifierConfig,

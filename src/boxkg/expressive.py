@@ -36,7 +36,6 @@ from .model import (
     inv_softplus,
     materialize,
     mlp_forward,
-    param_tensors,
     representation_tensors,
 )
 from .training import AdamState, adam_step
@@ -109,7 +108,6 @@ class SeparationReport:
     worst_true: Fact | None
     worst_false: Fact | None
     violations: tuple[tuple[Fact, float], ...]
-    threshold: float | None = None
 
     def to_records(self) -> list[tuple[str, str]]:
         records = [
@@ -117,10 +115,8 @@ class SeparationReport:
             ("margin", repr(self.margin)),
             ("max_true_score", repr(self.max_true)),
             ("min_false_score", repr(self.min_false)),
+            ("violations", str(len(self.violations))),
         ]
-        if self.threshold is not None:
-            records.append(("threshold", repr(self.threshold)))
-        records.append(("violations", str(len(self.violations))))
         for fact, score in self.violations:
             records.append(("violating_fact", f"{fact} score={score!r}"))
         return records
@@ -145,15 +141,10 @@ def _assignment_scores(config: ExplicitConfig, facts: frozenset[Fact]):
     return unary + binary, scores
 
 
-def verify_separation(
-    config: ExplicitConfig,
-    assignment: FactAssignment,
-    threshold: float | None = None,
-) -> SeparationReport:
+def verify_separation(config: ExplicitConfig, assignment: FactAssignment) -> SeparationReport:
     """Check that every declared-true fact scores below every declared-false one.
 
-    With a threshold, both sides must instead clear the threshold.  Empty
-    sides pass vacuously.
+    Empty sides pass vacuously.
     """
     true_facts, true_scores = _assignment_scores(config, assignment.true_facts)
     false_facts, false_scores = _assignment_scores(config, assignment.false_facts)
@@ -163,24 +154,18 @@ def verify_separation(
     worst_true = true_facts[int(true_scores.argmax())] if true_facts else None
     worst_false = false_facts[int(false_scores.argmin())] if false_facts else None
 
-    if threshold is None:
-        passed = max_true < min_false
-    else:
-        passed = max_true < threshold < min_false
-
+    passed = max_true < min_false
     violations: list[tuple[Fact, float]] = []
     if not passed:
-        upper = threshold if threshold is not None else min_false
-        lower = threshold if threshold is not None else max_true
         violations.extend(
             (fact, float(score))
             for fact, score in zip(true_facts, true_scores)
-            if score >= upper
+            if score >= min_false
         )
         violations.extend(
             (fact, float(score))
             for fact, score in zip(false_facts, false_scores)
-            if score <= lower
+            if score <= max_true
         )
 
     return SeparationReport(
@@ -191,7 +176,6 @@ def verify_separation(
         worst_true=worst_true,
         worst_false=worst_false,
         violations=tuple(violations),
-        threshold=threshold,
     )
 
 
@@ -416,7 +400,7 @@ def fit_binary_base(
             return cfg
         opt = AdamState(lr=learning_rate)
         for step in range(1, max_steps + 1):
-            pt = param_tensors(params)
+            pt = ad.leaves(live)
             positions, bumps = representation_tensors(params, pt, None)
             loss = None
             if len(t_rel):
@@ -429,11 +413,7 @@ def fit_binary_base(
             if loss is None:
                 break
             loss.backward()
-            grads = {
-                name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                for name, t in pt.items()
-            }
-            adam_step(opt, live, grads)
+            adam_step(opt, live, ad.gradients(pt))
             if step % check_every == 0:
                 cfg = materialize(params)
                 if verified(cfg):

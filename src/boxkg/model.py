@@ -586,10 +586,6 @@ def check_dataset_compat(params: ModelParams, dataset) -> None:
 # differentiable scoring graph (used by the training module)
 
 
-def param_tensors(params: ModelParams) -> dict[str, "Tensor"]:
-    return {name: ad.Tensor(arr, requires_grad=True) for name, arr in params.param_dict().items()}
-
-
 def mlp_forward_tensors(pt: dict, prefix: str, n_layers: int, x: np.ndarray) -> "Tensor":
     h: "Tensor" = ad.Tensor(x)
     for i in range(n_layers):
@@ -636,7 +632,8 @@ def box_score_rows(
     center/width boxes broadcast against each other, for example (n, 1, d)
     points against (1, C, d) boxes for (n, C) scores; gradients are summed
     back over the broadcast axes.  With ``box_ids``, each (n, d) point row
-    is scored against its own box from the (n_boxes, d) banks.  Kappa is
+    is scored against its own box from the (n_boxes, d) banks, and the box
+    gradients are summed per box by ``autodiff.scatter_rows``.  Kappa is
     derived internally, so the width gradient carries the d(kappa)/d(width)
     term.  Boundary points take the inside-branch subgradient; an all-zero
     distance row under the L2 norm gets a zero subgradient instead of a
@@ -666,11 +663,6 @@ def box_score_rows(
             with np.errstate(invalid="ignore", divide="ignore"):
                 unit = np.where(norms[..., None] > 0, dist / norms[..., None], 0.0)
             g_dist = gs * unit
-        indicator = None
-        if box_ids is not None and (center.requires_grad or width.requires_grad):
-            # per-box reduction as a matmul; boxes are few, rows are many
-            indicator = np.zeros((center.data.shape[0], len(box_ids)))
-            indicator[box_ids, np.arange(len(box_ids))] = 1.0
         g_points = g_dist * np.where(inside, inv_w, w)
         g_points = g_points * np.sign(diff)
         if points.requires_grad:
@@ -679,14 +671,14 @@ def box_score_rows(
             if box_ids is None:
                 center._accumulate(-g_points)
             else:
-                center._accumulate(-(indicator @ g_points))
+                center._accumulate(-ad.scatter_rows(box_ids, g_points, len(center.data)))
         if width.requires_grad:
             dkappa_dw = 0.5 * (2.0 * w - 1.0 - inv_w * inv_w)
             g_width = g_dist * np.where(inside, -offset * inv_w * inv_w, offset - dkappa_dw)
             if box_ids is None:
                 width._accumulate(g_width)
             else:
-                width._accumulate(indicator @ g_width)
+                width._accumulate(ad.scatter_rows(box_ids, g_width, len(width.data)))
 
     return ad._node(norms, (points, center, width), backward)
 

@@ -21,7 +21,6 @@ from .model import (
     check_features,
     init_params,
     materialize,
-    param_tensors,
     representation_tensors,
     unary_all_class_score_tensors,
     unary_score_tensors,
@@ -170,11 +169,18 @@ def _ce_loss_vec(pos, negs):
     return ad.logsumexp(z, axis=1) - z_pos
 
 
-def _ce_full_class_vec(scores_all, gold: np.ndarray):
-    z = ad.mul(scores_all, -1.0)
-    onehot = np.zeros(scores_all.shape)
-    onehot[np.arange(len(gold)), gold] = 1.0
-    return ad.logsumexp(z, axis=1) - ad.tsum(ad.mul(z, onehot), axis=1)
+def _loss_vec(loss_config: LossConfig, pos, negs):
+    if loss_config.kind == "ce":
+        return _ce_loss_vec(pos, negs)
+    alpha = loss_config.adv_alpha if loss_config.kind == "adv-ns" else None
+    return _ns_loss_vec(pos, negs, loss_config.margin, alpha)
+
+
+def softmax_ce_vec(logits, gold: np.ndarray):
+    """Per-row cross entropy of the ``gold`` column under a softmax over ``logits``."""
+    n, n_cols = logits.shape
+    gold_logit = ad.take_rows(ad.reshape(logits, (n * n_cols,)), np.arange(n) * n_cols + gold)
+    return ad.logsumexp(logits, axis=1) - gold_logit
 
 
 def batch_gradients(
@@ -188,23 +194,18 @@ def batch_gradients(
     n_total = batch.n_unary + batch.n_binary
     if n_total == 0:
         raise ValueError("batch must contain at least one positive fact")
-    pt = param_tensors(params)
+    pt = ad.leaves(params.param_dict())
     positions, bumps = representation_tensors(params, pt, features)
 
-    total = None
-
-    def accumulate(term):
-        nonlocal total
-        total = term if total is None else total + term
-
+    terms = []
     if batch.n_unary:
-        pos = unary_score_tensors(params, pt, positions, batch.unary_cls, batch.unary_ent)
         if loss_config.kind == "ce" and batch.unary_neg_cls is None:
             scores_all = unary_all_class_score_tensors(params, pt, positions, batch.unary_ent)
-            vec = _ce_full_class_vec(scores_all, batch.unary_cls)
+            vec = softmax_ce_vec(ad.mul(scores_all, -1.0), batch.unary_cls)
         else:
             if batch.unary_neg_cls is None:
                 raise ValueError("unary negatives required for this loss")
+            pos = unary_score_tensors(params, pt, positions, batch.unary_cls, batch.unary_ent)
             negs = unary_score_tensors(
                 params,
                 pt,
@@ -212,13 +213,8 @@ def batch_gradients(
                 batch.unary_neg_cls.ravel(),
                 np.repeat(batch.unary_ent, batch.unary_neg_cls.shape[1]),
             )
-            negs = ad.reshape(negs, batch.unary_neg_cls.shape)
-            if loss_config.kind == "ce":
-                vec = _ce_loss_vec(pos, negs)
-            else:
-                alpha = loss_config.adv_alpha if loss_config.kind == "adv-ns" else None
-                vec = _ns_loss_vec(pos, negs, loss_config.margin, alpha)
-        accumulate(ad.mul(ad.tsum(vec), unary_weight))
+            vec = _loss_vec(loss_config, pos, ad.reshape(negs, batch.unary_neg_cls.shape))
+        terms.append(ad.mul(ad.tsum(vec), unary_weight))
 
     if batch.n_binary:
         pos = binary_score_tensors(
@@ -235,24 +231,14 @@ def batch_gradients(
             batch.binary_neg_head.ravel(),
             batch.binary_neg_tail.ravel(),
         )
-        negs = ad.reshape(negs, batch.binary_neg_head.shape)
-        if loss_config.kind == "ce":
-            vec = _ce_loss_vec(pos, negs)
-        else:
-            alpha = loss_config.adv_alpha if loss_config.kind == "adv-ns" else None
-            vec = _ns_loss_vec(pos, negs, loss_config.margin, alpha)
-        accumulate(ad.tsum(vec))
+        vec = _loss_vec(loss_config, pos, ad.reshape(negs, batch.binary_neg_head.shape))
+        terms.append(ad.tsum(vec))
 
-    loss = ad.mul(total, 1.0 / n_total)
+    loss = ad.mul(sum(terms[1:], terms[0]), 1.0 / n_total)
     loss.backward()
     loss_value = float(loss.data)
-    grads = {}
-    bad = []
-    for name, tensor in pt.items():
-        grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        if not np.all(np.isfinite(grad)):
-            bad.append(name)
-        grads[name] = grad
+    grads = ad.gradients(pt)
+    bad = [name for name, grad in grads.items() if not np.all(np.isfinite(grad))]
     if not math.isfinite(loss_value):
         raise NumericError("non-finite loss value")
     if bad:

@@ -84,6 +84,16 @@ def ref_tail_ranks(config, fact, filter_facts) -> int:
     return ref_rank(scores, fact.tail, known)
 
 
+def ref_scatter_rows(index, rows, n_rows: int) -> np.ndarray:
+    """Row i is the sum of ``rows[j]`` over every j with ``index[j] == i``."""
+    rows = np.asarray(rows, dtype=np.float64)
+    out = np.zeros((n_rows, rows.shape[1]))
+    for j, i in enumerate(index):
+        for col in range(rows.shape[1]):
+            out[i, col] += rows[j, col]
+    return out
+
+
 def _softplus(x):
     return np.logaddexp(0.0, x)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference as ref
 from boxkg import autodiff as ad
 
 
@@ -93,20 +94,20 @@ def test_take_rows_scatter_adds():
     check(lambda t: ad.tsum(ad.mul(ad.take_rows(t[0], idx), idx[:, None] + 1.0)), [a])
 
 
-def test_take_rows_matches_both_scatter_paths():
-    # the matmul fast path and np.add.at must produce identical gradients
-    a = np.arange(15, dtype=float).reshape(5, 3)
-    idx = np.array([1, 1, 3])
-    t1 = ad.Tensor(a, requires_grad=True)
-    ad.tsum(ad.take_rows(t1, idx)).backward()
-    old = ad._SCATTER_MATMUL_BUDGET
-    try:
-        ad._SCATTER_MATMUL_BUDGET = 0  # force np.add.at
-        t2 = ad.Tensor(a, requires_grad=True)
-        ad.tsum(ad.take_rows(t2, idx)).backward()
-    finally:
-        ad._SCATTER_MATMUL_BUDGET = old
-    np.testing.assert_array_equal(t1.grad, t2.grad)
+@pytest.mark.parametrize("n_rows", [4, 200])
+def test_scatter_rows_matches_scalar_loop(n_rows):
+    # 4 rows scatter by one-hot matmul and 200 by bincount
+    assert (n_rows <= ad.SCATTER_MATMUL_ROWS) == (n_rows == 4)
+    rng = np.random.default_rng(n_rows)
+    # targets only the first half of the table, with many repeats; integer
+    # values sum exactly in any order, so both methods must match bit for bit
+    index = rng.integers(0, n_rows // 2, size=300)
+    g = rng.integers(-50, 50, size=(300, 5)).astype(float)
+    got = ad.scatter_rows(index, g, n_rows)
+    np.testing.assert_array_equal(got, ref.ref_scatter_rows(index, g, n_rows))
+    assert not got[n_rows // 2 :].any()
+    empty = ad.scatter_rows(np.empty(0, dtype=np.intp), np.empty((0, 5)), n_rows)
+    np.testing.assert_array_equal(empty, np.zeros((n_rows, 5)))
 
 
 def test_reshape_and_concat():
@@ -136,6 +137,15 @@ def test_gradient_accumulates_over_reuse():
     out = ad.tsum(a * a + a)
     out.backward()
     assert a.grad[0] == pytest.approx(2 * 2.0 + 1.0)
+
+
+def test_only_leaves_keep_gradients():
+    a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    hidden = a * a
+    out = ad.tsum(hidden)
+    out.backward()
+    assert hidden.grad is None and out.grad is None
+    np.testing.assert_array_equal(a.grad, [2.0, 4.0])
 
 
 def test_no_grad_for_constants():

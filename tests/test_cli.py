@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, files written, reproducibility."""
 
+import ctypes
+import glob
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boxkg.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -234,6 +240,48 @@ class TestBaselineCommand:
             "--hidden", "8", "--epochs", 20,
         ) == EXIT_OK
         assert "accuracy:" in capsys.readouterr().out
+
+
+def blas_threads() -> list[int]:
+    """Thread counts reported by each OpenBLAS that numpy bundles."""
+    counts = []
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
+
+
+class TestBlasThreads:
+    """Seeded results repeat bit for bit only at a fixed BLAS thread count."""
+
+    def test_suite_runs_on_one_thread(self):
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+        assert os.environ.get("OMP_NUM_THREADS") == "1"
+        assert set(blas_threads()) <= {1}
+
+    def test_command_line_pins_one_thread_before_numpy_loads(self):
+        tests = Path(__file__).resolve().parent
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(tests.parent / "src")
+        probe = (
+            "import os, sys\n"
+            "import boxkg.cli\n"
+            f"sys.path.insert(0, {str(tests)!r})\n"
+            "from test_cli import blas_threads\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'),"
+            " set(blas_threads()) <= {1})\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+            timeout=120,
+        ).stdout
+        assert out.split() == ["1", "1", "True"]
 
 
 class TestUsageErrors:

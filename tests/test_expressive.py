@@ -93,15 +93,6 @@ class TestVerifySeparation:
         assert report.margin < 0
         assert len(report.violations) == 2
 
-    def test_threshold_mode(self):
-        config = hand_base_config()
-        assignment = FactAssignment(
-            frozenset({Binary(0, 0, 1)}),
-            frozenset(set(full_binary_space(3, 1)) - {Binary(0, 0, 1)}),
-        )
-        assert verify_separation(config, assignment, threshold=1.0).passed
-        assert not verify_separation(config, assignment, threshold=-1.0).passed
-
     def test_report_records(self):
         config = hand_base_config()
         assignment = FactAssignment(frozenset({Binary(0, 0, 1)}), frozenset({Binary(0, 1, 0)}))

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import reference as ref
+from boxkg import autodiff as ad
 from boxkg.data import Binary, DataError, Dataset, LabelSplits, Unary, Vocabulary
 from boxkg.model import (
     FEATURE_BOX_EXTENT_SCALE,
     ExplicitConfig,
     ModelConfig,
     ModelParams,
+    box_score_rows,
     check_dataset_compat,
     config_binary_scores,
     config_class_scores,
@@ -375,6 +377,32 @@ class TestGradients:
         params = init_params((4, 2, 1), ModelConfig(d=4, mode="boxe"), seed=21)
         with pytest.raises(ValueError):
             batch_gradients(params, FactBatch(), LossConfig("ns"))
+
+
+class TestBoxScoreRows:
+    # 3 boxes reduce by one-hot matmul and 40 by bincount
+    @pytest.mark.parametrize("n_boxes", [3, 40])
+    @pytest.mark.parametrize("norm", [1, 2])
+    def test_box_ids_match_gathered_boxes(self, n_boxes, norm):
+        rng = np.random.default_rng(n_boxes + norm)
+        points = rng.uniform(-2.0, 2.0, (60, 4))
+        center = rng.uniform(-1.0, 1.0, (n_boxes, 4))
+        width = rng.uniform(1.0, 3.0, (n_boxes, 4))
+        ids = rng.integers(0, n_boxes, 60)
+        upstream = rng.standard_normal(60)
+
+        def run(gather):
+            tensors = [ad.Tensor(a, requires_grad=True) for a in (points, center, width)]
+            p, c, w = tensors
+            if gather:
+                scores = box_score_rows(p, ad.take_rows(c, ids), ad.take_rows(w, ids), norm)
+            else:
+                scores = box_score_rows(p, c, w, norm, box_ids=ids)
+            ad.tsum(ad.mul(scores, upstream)).backward()
+            return [scores.data] + [t.grad for t in tensors]
+
+        for by_ids, gathered in zip(run(False), run(True)):
+            np.testing.assert_array_equal(by_ids, gathered)
 
 
 class TestCheckpoint:
