@@ -10,7 +10,6 @@ with shortest round-trip precision, so save/load is lossless.
 from __future__ import annotations
 
 import logging
-import os
 from pathlib import Path
 from typing import Mapping
 

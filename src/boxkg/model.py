@@ -135,6 +135,15 @@ def mlp_forward(mlp: MlpParams, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Hyperparameters of a model.
+
+    ``mlp_hidden`` sizes the two feature MLPs that ``init_params`` builds.
+    A model reconstructed by ``expressive.reconstruct_with_mlp`` or read by
+    ``load_model`` takes each MLP's sizes from its own weights
+    (``MlpParams.hidden_sizes``), which may differ between the point and the
+    bump MLP; there ``mlp_hidden`` records the point MLP's.
+    """
+
     d: int
     norm: int = 2
     mode: str = MODE_BOXE
@@ -603,13 +612,12 @@ def representation_tensors(
         return pt["point_emb"], pt["bump_emb"]
     if features is None:
         raise DataError("feature mode requires a feature matrix")
-    n_layers = len(params.mlp_point.weights)
     scale = params.config.scale
     positions = ad.mul(pt["point_emb"], scale) + mlp_forward_tensors(
-        pt, "mlp_point", n_layers, features
+        pt, "mlp_point", len(params.mlp_point.weights), features
     )
     bumps = ad.mul(pt["bump_emb"], scale) + mlp_forward_tensors(
-        pt, "mlp_bump", n_layers, features
+        pt, "mlp_bump", len(params.mlp_bump.weights), features
     )
     return positions, bumps
 
@@ -617,6 +625,51 @@ def representation_tensors(
 def _box_center_width(center: "Tensor", size_raw: "Tensor"):
     width = ad.softplus(size_raw) + 1.0
     return center, width
+
+
+def _box_constants(width: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Width, half-width, 1/w, kappa and d(kappa)/d(width), elementwise."""
+    half = 0.5 * (width - 1.0)
+    inv_w = 1.0 / width
+    kappa = half * (width - inv_w)
+    dkappa_dw = 0.5 * (2.0 * width - 1.0 - inv_w * inv_w)
+    return width, half, inv_w, kappa, dkappa_dw
+
+
+def _box_terms(p, bank, rows, order: int) -> tuple[np.ndarray, ...]:
+    """Norms and the factors of their backward: (norms, signed slope, d dist/d width[, unit]).
+
+    ``bank`` holds the box centers and ``_box_constants``; ``rows`` picks each
+    point's box from it, an index array or ``...`` where points and boxes
+    broadcast.  The signed slope is d dist/d point; it is zero at the box
+    center.  Boundary points take the inside branch.  ``unit`` (L2 only) is
+    d norm/d dist; an all-zero distance row gets a zero subgradient instead
+    of a division by zero.
+    """
+    c, w, half, inv_w, kappa, dkappa_dw = bank
+    diff = p - c[rows]
+    offset = np.abs(diff)
+    inside = offset <= half[rows]
+    w, inv_w = w[rows], inv_w[rows]
+    signed_slope = np.where(inside, inv_w, w) * np.sign(diff)
+    scaled = offset * inv_w
+    dist = np.where(inside, scaled, offset * w - kappa[rows])
+    d_width = np.where(inside, -(scaled * inv_w), offset - dkappa_dw[rows])
+    if order == 1:
+        return dist.sum(axis=-1), signed_slope, d_width
+    norms = np.sqrt((dist * dist).sum(axis=-1))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        unit = np.where(norms[..., None] > 0, dist / norms[..., None], 0.0)
+    return norms, signed_slope, d_width, unit
+
+
+# Largest block, in cells, of the per-box (``box_ids``) path of
+# ``box_score_rows``: 2**15 float64 cells (256 KB; 256 rows at d = 128).  A
+# block keeps about a dozen temporaries alive at once, 3 MB, near the 2 MB L2
+# cache of one core.  On a 2-core Xeon, 2**13 to 2**17 cells ran a 51,200 x
+# 128 call equally fast; 2**16 let the forward's peak reach 3.6 (n, d)
+# arrays at d = 64 against 3.35 at 2**15.  The rule reads the shapes alone.
+BOX_SCORE_BLOCK_CELLS = 2**15
 
 
 def box_score_rows(
@@ -628,57 +681,61 @@ def box_score_rows(
 ) -> "Tensor":
     """Fused piecewise-distance-plus-norm with a hand-derived backward pass.
 
-    Reduces over the last axis.  Without ``box_ids``, ``points`` and the
-    center/width boxes broadcast against each other, for example (n, 1, d)
-    points against (1, C, d) boxes for (n, C) scores; gradients are summed
-    back over the broadcast axes.  With ``box_ids``, each (n, d) point row
-    is scored against its own box from the (n_boxes, d) banks, and the box
-    gradients are summed per box by ``autodiff.scatter_rows``.  Kappa is
-    derived internally, so the width gradient carries the d(kappa)/d(width)
-    term.  Boundary points take the inside-branch subgradient; an all-zero
-    distance row under the L2 norm gets a zero subgradient instead of a
-    division by zero.
+    Reduces over the last axis.  Kappa is derived internally, so the width
+    gradient carries the d(kappa)/d(width) term.  Boundary points take the
+    inside-branch subgradient and a point at the box center a zero one; an
+    all-zero distance row under the L2 norm gets a zero subgradient instead
+    of a division by zero.  The forward keeps only what the backward needs:
+    the signed slope d dist/d point, d dist/d width and, under L2, the unit
+    vector d norm/d dist.  The backward multiplies ``g * unit`` by each.
+
+    Without ``box_ids``, ``points`` and the center/width boxes broadcast
+    against each other, for example (n, 1, d) points against (1, C, d) boxes
+    for (n, C) scores; gradients are summed back over the broadcast axes.
+
+    With ``box_ids``, each (n, d) point row is scored against its own box
+    from the (n_boxes, d) banks.  The per-box constants (half-width, 1/w,
+    kappa, d(kappa)/d(width)) are computed once on the banks and gathered
+    per block of rows, in row order, each block at most
+    ``BOX_SCORE_BLOCK_CELLS`` cells so that its temporaries stay in cache.
+    The box gradients are summed per box by one ``autodiff.scatter_rows``
+    over all rows.  Each element goes through the same formulas in the same
+    association as in the broadcast path, and each norm sums one row alone,
+    so scores and gradients are bit-identical to scoring gathered boxes.
     """
     p = points.data
+    bank = (center.data,) + _box_constants(width.data)
     if box_ids is None:
-        c, w = center.data, width.data
+        saved = _box_terms(p, bank, ..., order)
     else:
-        c, w = center.data[box_ids], width.data[box_ids]
-    diff = p - c
-    offset = np.abs(diff)
-    inside = offset <= 0.5 * (w - 1.0)
-    inv_w = 1.0 / w
-    kappa = 0.5 * (w - 1.0) * (w - inv_w)
-    dist = np.where(inside, offset * inv_w, offset * w - kappa)
-    if order == 1:
-        norms = dist.sum(axis=-1)
-    else:
-        norms = np.sqrt((dist * dist).sum(axis=-1))
+        n = len(box_ids)
+        step = max(1, BOX_SCORE_BLOCK_CELLS // p.shape[-1])
+        if n <= step:  # one block: its terms are the saved arrays, uncopied
+            saved = _box_terms(p, bank, box_ids, order)
+        else:
+            saved = None
+            for start in range(0, n, step):
+                rows = slice(start, start + step)
+                part = _box_terms(p[rows], bank, box_ids[rows], order)
+                if saved is None:
+                    saved = tuple(np.empty((n,) + a.shape[1:]) for a in part)
+                for out, a in zip(saved, part):
+                    out[rows] = a
+    norms, signed_slope, d_width, *unit = saved
+
+    def per_box(g_rows):
+        # broadcast boxes are summed back by ``_accumulate``
+        return g_rows if box_ids is None else ad.scatter_rows(box_ids, g_rows, len(center.data))
 
     def backward(g):
-        gs = g[..., None]
-        if order == 1:
-            g_dist = np.broadcast_to(gs, dist.shape)
-        else:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                unit = np.where(norms[..., None] > 0, dist / norms[..., None], 0.0)
-            g_dist = gs * unit
-        g_points = g_dist * np.where(inside, inv_w, w)
-        g_points = g_points * np.sign(diff)
+        g_dist = g[..., None] * unit[0] if unit else g[..., None]
+        g_points = g_dist * signed_slope
         if points.requires_grad:
             points._accumulate(g_points)
         if center.requires_grad:
-            if box_ids is None:
-                center._accumulate(-g_points)
-            else:
-                center._accumulate(-ad.scatter_rows(box_ids, g_points, len(center.data)))
+            center._accumulate(-per_box(g_points))
         if width.requires_grad:
-            dkappa_dw = 0.5 * (2.0 * w - 1.0 - inv_w * inv_w)
-            g_width = g_dist * np.where(inside, -offset * inv_w * inv_w, offset - dkappa_dw)
-            if box_ids is None:
-                width._accumulate(g_width)
-            else:
-                width._accumulate(ad.scatter_rows(box_ids, g_width, len(width.data)))
+            width._accumulate(per_box(g_dist * d_width))
 
     return ad._node(norms, (points, center, width), backward)
 

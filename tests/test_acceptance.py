@@ -5,7 +5,6 @@ succeeds (visible with ``pytest -s`` or in captured output).  Quantitative
 thresholds and runtime budgets are asserted, not just reported.
 """
 
-import math
 import time
 
 import numpy as np
@@ -18,7 +17,7 @@ from boxkg.baselines import (
     mlp_classifier_predict,
     mlp_classifier_train,
 )
-from boxkg.data import Binary, DropSpec, LabelSplits, Unary, Vocabulary, Dataset, drop_edges, incident_counts
+from boxkg.data import Binary, DropSpec, LabelSplits, Vocabulary, Dataset, drop_edges, incident_counts
 from boxkg.evaluation import (
     FilterIndex,
     accuracy,
@@ -27,7 +26,6 @@ from boxkg.evaluation import (
     ranking_metrics,
 )
 from boxkg.expressive import (
-    FactAssignment,
     extend_with_classes,
     fit_binary_base,
     random_assignment,
@@ -40,9 +38,7 @@ from boxkg.model import (
     ModelConfig,
     init_params,
     materialize,
-    mlp_forward,
     mlp_init,
-    softplus,
 )
 from boxkg.synth import PlantedRule, generate_synthetic
 from boxkg.training import FactBatch, LossConfig, TrainConfig, batch_gradients, train

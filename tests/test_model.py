@@ -1,5 +1,7 @@
 """Model parameters, scoring, gradients, and checkpointing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import reference as ref
 from boxkg import autodiff as ad
 from boxkg.data import Binary, DataError, Dataset, LabelSplits, Unary, Vocabulary
 from boxkg.model import (
+    BOX_SCORE_BLOCK_CELLS,
     FEATURE_BOX_EXTENT_SCALE,
     ExplicitConfig,
     ModelConfig,
@@ -24,6 +27,7 @@ from boxkg.model import (
     materialize,
     mlp_forward,
     mlp_init,
+    representation_tensors,
     save_model,
     softplus,
 )
@@ -118,6 +122,17 @@ class TestEntityRepresentation:
         np.testing.assert_array_equal(
             config.positions[0], mlp_forward(params.mlp_point, features)[0]
         )
+
+    def test_graph_uses_each_mlps_own_depth(self):
+        # reconstructed and loaded models may carry MLPs of different depths
+        cfg = ModelConfig(d=3, mode="mlp-boxe", mlp_hidden=(4, 5), feature_dim=2)
+        params = init_params((4, 2, 1), cfg, seed=3)
+        params.mlp_bump = mlp_init(2, (6,), 3, np.random.default_rng(4))
+        features = np.random.default_rng(5).standard_normal((4, 2))
+        config = materialize(params, features)
+        positions, bumps = representation_tensors(params, ad.leaves(params.param_dict()), features)
+        np.testing.assert_allclose(positions.data, config.positions)
+        np.testing.assert_allclose(bumps.data, config.bumps)
 
     def test_missing_features_rejected(self):
         cfg = ModelConfig(d=6, mode="mlp-boxe", mlp_hidden=(5,), feature_dim=3)
@@ -379,17 +394,40 @@ class TestGradients:
             batch_gradients(params, FactBatch(), LossConfig("ns"))
 
 
+# "random" keeps the original draws; the named cases add rows spanning four
+# blocks at d = 128 in unsorted box order, a box that no row uses, points at
+# their box center (whole rows, so zero distance rows under L2) and points on
+# box faces.  3 boxes reduce by one-hot matmul and 40 by bincount.
+BOX_ROW_CASES = [
+    pytest.param(norm, n_boxes, "random", id=f"{norm}-{n_boxes}")
+    for norm in (1, 2)
+    for n_boxes in (3, 40)
+] + [
+    pytest.param(norm, n_boxes, case, id=f"{norm}-{n_boxes}-{case}")
+    for case in ("blocks", "unused-box", "center", "face")
+    for norm in (1, 2)
+    for n_boxes in (3, 40)
+]
+
+
 class TestBoxScoreRows:
-    # 3 boxes reduce by one-hot matmul and 40 by bincount
-    @pytest.mark.parametrize("n_boxes", [3, 40])
-    @pytest.mark.parametrize("norm", [1, 2])
-    def test_box_ids_match_gathered_boxes(self, n_boxes, norm):
+    @pytest.mark.parametrize("norm,n_boxes,case", BOX_ROW_CASES)
+    def test_box_ids_match_gathered_boxes(self, norm, n_boxes, case):
         rng = np.random.default_rng(n_boxes + norm)
-        points = rng.uniform(-2.0, 2.0, (60, 4))
-        center = rng.uniform(-1.0, 1.0, (n_boxes, 4))
-        width = rng.uniform(1.0, 3.0, (n_boxes, 4))
-        ids = rng.integers(0, n_boxes, 60)
-        upstream = rng.standard_normal(60)
+        n_rows, d = (4 * BOX_SCORE_BLOCK_CELLS // 128 - 30, 128) if case == "blocks" else (60, 4)
+        points = rng.uniform(-2.0, 2.0, (n_rows, d))
+        center = rng.uniform(-1.0, 1.0, (n_boxes, d))
+        width = rng.uniform(1.0, 3.0, (n_boxes, d))
+        ids = rng.integers(0, n_boxes - (case == "unused-box"), n_rows)
+        upstream = rng.standard_normal(n_rows)
+        if case == "center":
+            points[::3] = center[ids[::3]]
+        if case == "face":
+            # dyadic boxes, so that center +- half-width is exact
+            center = rng.integers(-4, 5, (n_boxes, d)) / 4.0
+            width = rng.integers(5, 12, (n_boxes, d)) / 4.0
+            side = rng.choice([-1.0, 1.0], (n_rows, d))
+            points[::2] = (center[ids] + side * 0.5 * (width[ids] - 1.0))[::2]
 
         def run(gather):
             tensors = [ad.Tensor(a, requires_grad=True) for a in (points, center, width)]
@@ -401,8 +439,43 @@ class TestBoxScoreRows:
             ad.tsum(ad.mul(scores, upstream)).backward()
             return [scores.data] + [t.grad for t in tensors]
 
-        for by_ids, gathered in zip(run(False), run(True)):
-            np.testing.assert_array_equal(by_ids, gathered)
+        by_ids = run(False)
+        for result, gathered in zip(by_ids, run(True)):
+            np.testing.assert_array_equal(result, gathered)
+        scores, g_points = by_ids[0], by_ids[1]
+        if case == "unused-box":
+            assert not np.any(by_ids[2][-1]) and not np.any(by_ids[3][-1])
+        if case == "center":
+            # the subgradient at the center is zero, also under L2 where the
+            # whole distance row is zero
+            assert not np.any(scores[::3]) and not np.any(g_points[::3])
+        if case == "face" and norm == 1:
+            # faces belong to the box: the inside slope 1/w, signed outwards
+            np.testing.assert_allclose(
+                g_points[::2], (upstream[:, None] * side / width[ids])[::2], rtol=1e-15
+            )
+
+    @pytest.mark.parametrize("norm,kept_limit", [(1, 2.1), (2, 3.1)])
+    def test_box_ids_forward_memory(self, norm, kept_limit):
+        # in units of one (n, d) float64 array: the forward keeps the signed
+        # slope, d dist/d width and (L2) the unit vector, and scores in blocks
+        rng = np.random.default_rng(9)
+        n, d = 20_000, 64
+        tensors = [
+            ad.Tensor(a, requires_grad=True)
+            for a in (rng.uniform(-2.0, 2.0, (n, d)), rng.uniform(-1.0, 1.0, (3, d)),
+                      rng.uniform(1.0, 3.0, (3, d)))
+        ]
+        ids = rng.integers(0, 3, n)
+        tracemalloc.start()
+        try:
+            scores = box_score_rows(*tensors, norm, box_ids=ids)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (n,)
+        assert kept / (n * d * 8) <= kept_limit
+        assert peak / (n * d * 8) <= 3.5
 
 
 class TestCheckpoint:
