@@ -1,7 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Implements exactly the operations the scoring and loss graphs need; the
-point-to-box score itself is one fused op, ``model.box_score_rows``.  All
+point-to-box score itself is fused in ``model`` (``box_score_rows``, and
+``translated_box_score_rows`` for binary facts).  All
 data and gradients are float64.  ``relu`` propagates the subgradient of the
 branch taken in the forward pass, with zero at the kink.  Backward closures
 skip work for parents that do not require gradients.

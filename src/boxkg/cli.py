@@ -306,6 +306,9 @@ def _cmd_validate(args) -> int:
     dataset = load_dataset_dir(args.data)
     report = validate(dataset)
     write_records(dataset_stats(dataset) + report.to_records(), sys.stdout)
+    # an entity without edges is legal in a sparse graph; every other violation is a data error
+    if any(v.kind != "isolated_node" for v in report.violations):
+        return EXIT_DATA
     return EXIT_OK
 
 

@@ -101,12 +101,6 @@ class LabelSplits:
     valid: dict[int, int] = field(default_factory=dict)
     test: dict[int, int] = field(default_factory=dict)
 
-    def all_labels(self) -> dict[int, int]:
-        merged = dict(self.train)
-        merged.update(self.valid)
-        merged.update(self.test)
-        return merged
-
     def __iter__(self):
         yield "train", self.train
         yield "valid", self.valid

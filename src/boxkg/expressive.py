@@ -79,19 +79,21 @@ def random_assignment(
     seed: int,
     true_prob: float = 0.5,
 ) -> FactAssignment:
-    """Random true/false split of the full fact space over the vocabulary."""
-    rng = np.random.default_rng(seed)
+    """Random true/false split of the full fact space over the vocabulary.
+
+    One uniform draw per fact, unary facts first, each kind in index order.
+    """
+    entities = range(n_entities)
+    facts = [Unary(cls, ent) for cls in range(n_classes) for ent in entities]
+    facts += [
+        Binary(rel, head, tail)
+        for rel in range(n_relations) for head in entities for tail in entities
+    ]
+    draws = np.random.default_rng(seed).random(len(facts))
     true_facts: set[Fact] = set()
     false_facts: set[Fact] = set()
-    for cls in range(n_classes):
-        for ent in range(n_entities):
-            target = true_facts if rng.random() < true_prob else false_facts
-            target.add(Unary(cls, ent))
-    for rel in range(n_relations):
-        for head in range(n_entities):
-            for tail in range(n_entities):
-                target = true_facts if rng.random() < true_prob else false_facts
-                target.add(Binary(rel, head, tail))
+    for fact, is_true in zip(facts, (draws < true_prob).tolist()):
+        (true_facts if is_true else false_facts).add(fact)
     return FactAssignment(frozenset(true_facts), frozenset(false_facts))
 
 

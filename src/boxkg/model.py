@@ -663,13 +663,68 @@ def _box_terms(p, bank, rows, order: int) -> tuple[np.ndarray, ...]:
     return norms, signed_slope, d_width, unit
 
 
-# Largest block, in cells, of the per-box (``box_ids``) path of
-# ``box_score_rows``: 2**15 float64 cells (256 KB; 256 rows at d = 128).  A
+# Largest block, in cells, of the per-box paths (``box_score_rows`` with
+# ``box_ids``, ``translated_box_score_rows``): 2**15 float64 cells (256 KB; 256 rows at d = 128).  A
 # block keeps about a dozen temporaries alive at once, 3 MB, near the 2 MB L2
 # cache of one core.  On a 2-core Xeon, 2**13 to 2**17 cells ran a 51,200 x
 # 128 call equally fast; 2**16 let the forward's peak reach 3.6 (n, d)
 # arrays at d = 64 against 3.35 at 2**15.  The rule reads the shapes alone.
 BOX_SCORE_BLOCK_CELLS = 2**15
+
+
+def _blocked_terms(n: int, d: int, terms) -> tuple[np.ndarray, ...]:
+    """Run ``terms`` over blocks of rows in order and join the results into n-row arrays.
+
+    ``terms`` returns ``_box_terms`` of the rows a slice selects; a block
+    holds at most ``BOX_SCORE_BLOCK_CELLS`` cells.
+    """
+    step = max(1, BOX_SCORE_BLOCK_CELLS // d)
+    if n <= step:  # one block: its terms are the saved arrays, uncopied
+        return terms(slice(None))
+    saved = None
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        part = terms(rows)
+        if saved is None:
+            saved = tuple(np.empty((n,) + a.shape[1:]) for a in part)
+        for out, a in zip(saved, part):
+            out[rows] = a
+    return saved
+
+
+def _box_score_node(saved, sinks, center: "Tensor", width: "Tensor", box_ids) -> "Tensor":
+    """Graph node of ``_box_terms`` results: scores, with their hand-derived backward.
+
+    ``sinks`` pairs each point source with the rows it gave each point:
+    ``(tensor, None)`` when the tensor holds the points themselves,
+    ``(table, index)`` when point i took ``table[index[i]]``.  The point
+    gradient goes to each in turn, scattered onto tables by
+    ``autodiff.scatter_rows``.
+    """
+    norms, signed_slope, d_width, *unit = saved
+
+    def per_box(g_rows):
+        # broadcast boxes are summed back by ``_accumulate``
+        return g_rows if box_ids is None else ad.scatter_rows(box_ids, g_rows, len(center.data))
+
+    def backward(g):
+        g_dist = g[..., None] * unit[0] if unit else g[..., None]
+        # the width term first, so that at most two (n, d) arrays are live:
+        # under L2 g_dist then turns into g_points in place
+        if width.requires_grad:
+            width._accumulate(per_box(g_dist * d_width))
+        g_points = np.multiply(g_dist, signed_slope, out=g_dist if unit else None)
+        for source, index in sinks:
+            if source.requires_grad:
+                source._accumulate(
+                    g_points if index is None
+                    else ad.scatter_rows(index, g_points, len(source.data))
+                )
+        if center.requires_grad:
+            center._accumulate(-per_box(g_points))
+
+    parents = tuple(source for source, _ in sinks) + (center, width)
+    return ad._node(norms, parents, backward)
 
 
 def box_score_rows(
@@ -708,36 +763,44 @@ def box_score_rows(
     if box_ids is None:
         saved = _box_terms(p, bank, ..., order)
     else:
-        n = len(box_ids)
-        step = max(1, BOX_SCORE_BLOCK_CELLS // p.shape[-1])
-        if n <= step:  # one block: its terms are the saved arrays, uncopied
-            saved = _box_terms(p, bank, box_ids, order)
-        else:
-            saved = None
-            for start in range(0, n, step):
-                rows = slice(start, start + step)
-                part = _box_terms(p[rows], bank, box_ids[rows], order)
-                if saved is None:
-                    saved = tuple(np.empty((n,) + a.shape[1:]) for a in part)
-                for out, a in zip(saved, part):
-                    out[rows] = a
-    norms, signed_slope, d_width, *unit = saved
+        saved = _blocked_terms(
+            len(box_ids), p.shape[-1],
+            lambda rows: _box_terms(p[rows], bank, box_ids[rows], order),
+        )
+    return _box_score_node(saved, ((points, None),), center, width, box_ids)
 
-    def per_box(g_rows):
-        # broadcast boxes are summed back by ``_accumulate``
-        return g_rows if box_ids is None else ad.scatter_rows(box_ids, g_rows, len(center.data))
 
-    def backward(g):
-        g_dist = g[..., None] * unit[0] if unit else g[..., None]
-        g_points = g_dist * signed_slope
-        if points.requires_grad:
-            points._accumulate(g_points)
-        if center.requires_grad:
-            center._accumulate(-per_box(g_points))
-        if width.requires_grad:
-            width._accumulate(per_box(g_dist * d_width))
+def translated_box_score_rows(
+    positions: "Tensor",
+    bumps: "Tensor",
+    point_ids: np.ndarray,
+    bump_ids: np.ndarray,
+    center: "Tensor",
+    width: "Tensor",
+    order: int,
+    box_ids: np.ndarray,
+) -> "Tensor":
+    """``box_score_rows`` of the points ``positions[point_ids] + bumps[bump_ids]``.
 
-    return ad._node(norms, (points, center, width), backward)
+    One side of a binary fact: each entity's position translated by the
+    other entity's bump, scored against its own box ``box_ids`` from the
+    banks.  Each block of rows gathers and adds its own points, so the (n, d)
+    gathered and translated points are never built, and the forward keeps
+    what ``box_score_rows`` keeps.  The backward scatters the point gradient
+    onto ``positions`` at ``point_ids``, then onto ``bumps`` at
+    ``bump_ids``.  Scores and gradients are bit-identical to gathering with
+    ``autodiff.take_rows``, adding, and calling ``box_score_rows``.
+    """
+    pos, bump = positions.data, bumps.data
+    bank = (center.data,) + _box_constants(width.data)
+
+    def terms(rows):
+        points = pos[point_ids[rows]] + bump[bump_ids[rows]]
+        return _box_terms(points, bank, box_ids[rows], order)
+
+    saved = _blocked_terms(len(box_ids), pos.shape[-1], terms)
+    sinks = ((positions, point_ids), (bumps, bump_ids))
+    return _box_score_node(saved, sinks, center, width, box_ids)
 
 
 def unary_score_tensors(
@@ -772,14 +835,19 @@ def binary_score_tensors(
     head: np.ndarray,
     tail: np.ndarray,
 ) -> "Tensor":
+    """Scores of rel(head, tail): one ``translated_box_score_rows`` node per side.
+
+    The head side scores ``positions[head] + bumps[tail]`` against the
+    relation's head box, the tail side ``positions[tail] + bumps[head]``
+    against its tail box.  Per call the graph keeps two or three (n, d)
+    arrays per side, as ``box_score_rows`` does, and no gathered rows.
+    """
     rel = np.asarray(rel, dtype=np.intp)
     head = np.asarray(head, dtype=np.intp)
     tail = np.asarray(tail, dtype=np.intp)
-    head_final = ad.take_rows(positions, head) + ad.take_rows(bumps, tail)
-    tail_final = ad.take_rows(positions, tail) + ad.take_rows(bumps, head)
     hc, hw = _box_center_width(pt["rel_head_center"], pt["rel_head_size_raw"])
     tc, tw = _box_center_width(pt["rel_tail_center"], pt["rel_tail_size_raw"])
     norm = params.config.norm
-    head_scores = box_score_rows(head_final, hc, hw, norm, box_ids=rel)
-    tail_scores = box_score_rows(tail_final, tc, tw, norm, box_ids=rel)
+    head_scores = translated_box_score_rows(positions, bumps, head, tail, hc, hw, norm, rel)
+    tail_scores = translated_box_score_rows(positions, bumps, tail, head, tc, tw, norm, rel)
     return head_scores + tail_scores

@@ -99,7 +99,11 @@ class AdamState:
 def adam_step(
     state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]
 ) -> tuple[AdamState, dict[str, np.ndarray]]:
-    """Standard bias-corrected Adam update; mutates params/state in place."""
+    """Standard bias-corrected Adam update; mutates params/state in place.
+
+    Each tensor is updated through two work buffers, in the association
+    ``param -= (lr * (m / c1)) / (sqrt(v / c2) + eps)``.
+    """
     state.step += 1
     correction1 = 1.0 - state.beta1**state.step
     correction2 = 1.0 - state.beta2**state.step
@@ -109,13 +113,19 @@ def adam_step(
             raise ValueError(f"gradient shape mismatch for {name}")
         m = state.m.setdefault(name, np.zeros_like(param))
         v = state.v.setdefault(name, np.zeros_like(param))
+        update, denom = np.empty_like(param), np.empty_like(param)
         m *= state.beta1
-        m += (1.0 - state.beta1) * grad
+        m += np.multiply(1.0 - state.beta1, grad, out=update)
         v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
-        m_hat = m / correction1
-        v_hat = v / correction2
-        param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(1.0 - state.beta2, grad, out=update)
+        v += np.multiply(update, grad, out=update)
+        np.divide(m, correction1, out=update)
+        update *= state.lr
+        np.divide(v, correction2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        update /= denom
+        param -= update
     return state, params
 
 

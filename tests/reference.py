@@ -2,12 +2,18 @@
 
 Everything here is written with plain Python loops and scalar arithmetic
 (the losses with small numpy helpers), separate from the library's
-vectorized code paths, so that agreement is meaningful.
+vectorized code paths, so that agreement is meaningful.  The one exception
+is ``ref_binary_score_tensors``, the unfused graph that the library's fused
+binary scoring must reproduce bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from boxkg import autodiff as ad
+from boxkg.data import Binary, Unary
+from boxkg.model import box_score_rows
 
 
 def ref_distance(p: float, lower: float, upper: float) -> float:
@@ -127,3 +133,41 @@ def ce_loss(pos_score, neg_scores) -> float:
     z = -np.concatenate([[pos_score], neg_scores.ravel()])
     peak = z.max()
     return float(np.log(np.sum(np.exp(z - peak))) + peak - z[0])
+
+
+def ref_adam_update(param, m, v, grad, step, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam update written as plain expressions; returns new arrays."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**step)
+    v_hat = v / (1.0 - beta2**step)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
+def ref_random_assignment(n_entities, n_classes, n_relations, seed, true_prob=0.5):
+    """One scalar draw per fact, unary facts first: (true facts, false facts)."""
+    rng = np.random.default_rng(seed)
+    true_facts, false_facts = set(), set()
+    for cls in range(n_classes):
+        for ent in range(n_entities):
+            target = true_facts if rng.random() < true_prob else false_facts
+            target.add(Unary(cls, ent))
+    for rel in range(n_relations):
+        for head in range(n_entities):
+            for tail in range(n_entities):
+                target = true_facts if rng.random() < true_prob else false_facts
+                target.add(Binary(rel, head, tail))
+    return frozenset(true_facts), frozenset(false_facts)
+
+
+def ref_binary_score_tensors(positions, bumps, rel, head, tail, boxes, order):
+    """Binary scores as four gathers, two adds and two ``box_score_rows`` calls.
+
+    ``boxes`` holds the head and the tail (center, width) tensors.
+    """
+    (hc, hw), (tc, tw) = boxes
+    head_final = ad.take_rows(positions, head) + ad.take_rows(bumps, tail)
+    tail_final = ad.take_rows(positions, tail) + ad.take_rows(bumps, head)
+    return box_score_rows(head_final, hc, hw, order, box_ids=rel) + box_score_rows(
+        tail_final, tc, tw, order, box_ids=rel
+    )

@@ -65,6 +65,24 @@ class TestSynth:
         out = capsys.readouterr().out
         assert "violations: 0" in out
 
+    def test_validate_exit_code_by_violation(self, synth_dir, capsys):
+        # an isolated node alone is legal; a non-finite feature is a data error
+        edges = (synth_dir / "edges.tsv").read_text().splitlines(keepends=True)
+        entity = next(line for line in edges if not line.startswith("#")).split("\t")[0]
+        kept = [line for line in edges if entity not in line.rstrip("\n").split("\t")[::2]]
+        (synth_dir / "edges.tsv").write_text("".join(kept))
+        capsys.readouterr()
+        assert run("validate", "--data", synth_dir) == EXIT_OK
+        out = capsys.readouterr().out
+        assert f"isolated_node: entity {entity}" in out
+
+        lines = (synth_dir / "features.tsv").read_text().splitlines(keepends=True)
+        name, values = lines[3].split("\t")
+        lines[3] = f"{name}\tnan,{values.split(',', 1)[1]}"
+        (synth_dir / "features.tsv").write_text("".join(lines))
+        assert run("validate", "--data", synth_dir) == EXIT_DATA
+        assert "non_finite_feature: row 2" in capsys.readouterr().out
+
 
 class TestDropEdges:
     def test_deterministic_outputs(self, synth_dir, tmp_path):

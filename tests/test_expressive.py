@@ -74,6 +74,18 @@ class TestFactAssignment:
         assert assignment.binary_only().true_facts == frozenset({Binary(0, 0, 1)})
         assert assignment.unary_only().false_facts == frozenset({Unary(1, 0)})
 
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (3, 0, 2), (5, 3, 0), (16, 2, 2)])
+    @pytest.mark.parametrize("seed,true_prob", [(0, 0.5), (1, 0.5), (12345, 0.5), (7, 0.2)])
+    def test_random_assignment_matches_scalar_draws(self, sizes, seed, true_prob):
+        assignment = random_assignment(*sizes, seed=seed, true_prob=true_prob)
+        true_facts, false_facts = ref.ref_random_assignment(*sizes, seed, true_prob)
+        # equal sets, iterated in the same order
+        assert list(assignment.true_facts) == list(true_facts)
+        assert list(assignment.false_facts) == list(false_facts)
+        n_entities, n_classes, n_relations = sizes
+        n_facts = n_classes * n_entities + n_relations * n_entities**2
+        assert len(assignment.true_facts) + len(assignment.false_facts) == n_facts
+
 
 class TestVerifySeparation:
     def test_vacuously_passes_when_empty(self):

@@ -14,6 +14,7 @@ from boxkg.model import (
     ExplicitConfig,
     ModelConfig,
     ModelParams,
+    binary_score_tensors,
     box_score_rows,
     check_dataset_compat,
     config_binary_scores,
@@ -476,6 +477,89 @@ class TestBoxScoreRows:
         assert scores.shape == (n,)
         assert kept / (n * d * 8) <= kept_limit
         assert peak / (n * d * 8) <= 3.5
+
+
+# cases for the fused binary node: rows spanning four blocks at d = 128, many
+# rows over three entities, rows with head == tail, and feature mode, where
+# the entity tables are graph nodes fed by the MLPs.  Tables of 20 entities
+# scatter by one-hot matmul, 200 by bincount.
+BINARY_CASES = [
+    pytest.param(norm, n_entities, case, id=f"{norm}-{n_entities}-{case}")
+    for case in ("blocks", "repeated", "self-loop", "features")
+    for norm in (1, 2)
+    for n_entities in (20, 200)
+]
+
+
+class TestBinaryScoreTensors:
+    @pytest.mark.parametrize("norm,n_entities,case", BINARY_CASES)
+    def test_matches_unfused_composition(self, norm, n_entities, case):
+        rng = np.random.default_rng(n_entities + norm)
+        d = 128 if case == "blocks" else 4
+        n_rows = 3 * (BOX_SCORE_BLOCK_CELLS // d) + 37 if case == "blocks" else 60
+        feature_mode = case == "features"
+        config = ModelConfig(
+            d=d, norm=norm, mode="mlp-boxe" if feature_mode else "boxe",
+            mlp_hidden=(8,), feature_dim=3 if feature_mode else None,
+        )
+        params = init_params((n_entities, 0, 3), config, seed=n_rows)
+        features = rng.standard_normal((n_entities, 3)) if feature_mode else None
+        # points inside and outside boxes of varied extents
+        for name in ("point_emb", "bump_emb", "rel_head_center", "rel_tail_center"):
+            getattr(params, name)[:] = rng.uniform(-1.0, 1.0, getattr(params, name).shape)
+        for name in ("rel_head_size_raw", "rel_tail_size_raw"):
+            getattr(params, name)[:] = inv_softplus(rng.uniform(0.2, 2.0, (3, d)))
+        rel = rng.integers(0, 3, n_rows)
+        entities = 3 if case == "repeated" else n_entities
+        head, tail = rng.integers(0, entities, (2, n_rows))
+        if case == "self-loop":
+            tail[::2] = head[::2]
+        upstream = rng.standard_normal(n_rows)
+
+        def run(fused):
+            pt = ad.leaves(params.param_dict())
+            positions, bumps = representation_tensors(params, pt, features)
+            if fused:
+                scores = binary_score_tensors(params, pt, positions, bumps, rel, head, tail)
+            else:
+                boxes = [
+                    (pt[f"rel_{side}_center"], ad.softplus(pt[f"rel_{side}_size_raw"]) + 1.0)
+                    for side in ("head", "tail")
+                ]
+                scores = ref.ref_binary_score_tensors(
+                    positions, bumps, rel, head, tail, boxes, norm
+                )
+            ad.tsum(ad.mul(scores, upstream)).backward()
+            return scores.data, ad.gradients(pt)
+
+        scores, grads = run(True)
+        ref_scores, ref_grads = run(False)
+        np.testing.assert_array_equal(scores, ref_scores)
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, ref_grads[name], err_msg=name)
+        assert np.any(grads["bump_emb"]) and np.any(grads["rel_tail_size_raw"])
+
+    @pytest.mark.parametrize("norm,kept_limit", [(1, 4.1), (2, 6.1)])
+    def test_forward_memory(self, norm, kept_limit):
+        # in units of one (n, d) float64 array: each side keeps what
+        # box_score_rows keeps (2 arrays, 3 under L2) and no gathered or
+        # translated points; the unfused graph kept 12
+        rng = np.random.default_rng(9)
+        n, d, n_entities = 20_000, 64, 500
+        params = init_params((n_entities, 0, 2), ModelConfig(d=d, norm=norm), seed=0)
+        pt = ad.leaves(params.param_dict())
+        rel, head, tail = (rng.integers(0, k, n) for k in (2, n_entities, n_entities))
+        tracemalloc.start()
+        try:
+            scores = binary_score_tensors(
+                params, pt, pt["point_emb"], pt["bump_emb"], rel, head, tail
+            )
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (n,)
+        assert kept / (n * d * 8) <= kept_limit
 
 
 class TestCheckpoint:

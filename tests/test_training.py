@@ -17,7 +17,7 @@ from boxkg.training import (
     adam_step,
     train,
 )
-from reference import ce_loss, ns_loss
+from reference import ce_loss, ns_loss, ref_adam_update
 
 
 def tiny_vocab(n_entities=4, n_classes=3, n_relations=2):
@@ -149,6 +149,24 @@ class TestAdam:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             adam_step(AdamState(), {"w": np.zeros(2)}, {"w": np.zeros(3)})
+
+    def test_matches_reference_update_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        shapes = {"w": (30, 7), "b": (7,)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        want = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+        state = AdamState(lr=3e-3)
+        for step in range(1, 11):
+            grads = {
+                name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                for name, shape in shapes.items()
+            }
+            adam_step(state, params, grads)
+            for name, grad in grads.items():
+                want[name] = ref_adam_update(*want[name], grad, step, lr=3e-3)
+                np.testing.assert_array_equal(params[name], want[name][0])
+                np.testing.assert_array_equal(state.m[name], want[name][1])
+                np.testing.assert_array_equal(state.v[name], want[name][2])
 
 
 class TestLossConfig:
