@@ -33,6 +33,7 @@ expressiveness oracle operate on.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -636,59 +637,105 @@ def _box_constants(width: np.ndarray) -> tuple[np.ndarray, ...]:
     return width, half, inv_w, kappa, dkappa_dw
 
 
-def _box_terms(p, bank, rows, order: int) -> tuple[np.ndarray, ...]:
-    """Norms and the factors of their backward: (norms, signed slope, d dist/d width[, unit]).
+def _box_terms(p, bank, rows, saved, work) -> None:
+    """Write the norms of points ``p`` and the factors of their backward into ``saved``.
 
-    ``bank`` holds the box centers and ``_box_constants``; ``rows`` picks each
-    point's box from it, an index array or ``...`` where points and boxes
-    broadcast.  The signed slope is d dist/d point; it is zero at the box
-    center.  Boundary points take the inside branch.  ``unit`` (L2 only) is
-    d norm/d dist; an all-zero distance row gets a zero subgradient instead
-    of a division by zero.
+    ``saved`` is (norms, signed slope, d dist/d width[, unit]): the signed
+    slope is d dist/d point, zero at the box center, and ``unit``, present
+    under L2 only, is d norm/d dist; an all-zero distance row gets a zero
+    subgradient instead of a division by zero.  Boundary points take the
+    inside branch.  ``bank`` holds the box centers and ``_box_constants``;
+    ``rows`` picks each point's box from it, an index array or ``...`` where
+    points and boxes broadcast.  ``work`` is four float arrays and one bool
+    array of the scored shape.  Every step writes into ``saved`` or
+    ``work``, so a call allocates nothing of that shape.  ``p`` may be
+    ``work[0]``: the first step reads it and nothing after.
     """
     c, w, half, inv_w, kappa, dkappa_dw = bank
-    diff = p - c[rows]
-    offset = np.abs(diff)
-    inside = offset <= half[rows]
-    w, inv_w = w[rows], inv_w[rows]
-    signed_slope = np.where(inside, inv_w, w) * np.sign(diff)
-    scaled = offset * inv_w
-    dist = np.where(inside, scaled, offset * w - kappa[rows])
-    d_width = np.where(inside, -(scaled * inv_w), offset - dkappa_dw[rows])
-    if order == 1:
-        return dist.sum(axis=-1), signed_slope, d_width
-    norms = np.sqrt((dist * dist).sum(axis=-1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(norms[..., None] > 0, dist / norms[..., None], 0.0)
-    return norms, signed_slope, d_width, unit
+    norms, signed_slope, d_width, *unit = saved
+    diff, offset, box, inv, inside = work
+
+    def pick(table, out):  # the rows' boxes from one bank
+        return table if rows is ... else np.take(table, rows, axis=0, out=out)
+
+    np.subtract(p, pick(c, box), out=diff)
+    np.abs(diff, out=offset)
+    np.less_equal(offset, pick(half, box), out=inside)
+    inv = pick(inv_w, inv)
+    w = pick(w, box)
+    np.copyto(signed_slope, w)
+    np.copyto(signed_slope, inv, where=inside)
+    signed_slope *= np.sign(diff, out=diff)
+    scaled = np.multiply(offset, inv, out=diff)
+    dist = unit[0] if unit else box
+    np.multiply(offset, w, out=dist)
+    dist -= pick(kappa, d_width)
+    np.copyto(dist, scaled, where=inside)
+    np.subtract(offset, pick(dkappa_dw, d_width), out=d_width)
+    np.negative(np.multiply(scaled, inv, out=scaled), out=scaled)
+    np.copyto(d_width, scaled, where=inside)
+    if not unit:
+        dist.sum(axis=-1, out=norms)
+        return
+    np.sqrt(np.multiply(dist, dist, out=offset).sum(axis=-1, out=norms), out=norms)
+    live = norms[..., None] > 0
+    with np.errstate(invalid="ignore"):
+        np.divide(dist, norms[..., None], out=dist, where=live)
+    np.copyto(dist, 0.0, where=~live)
+
+
+def _saved_arrays(shape: tuple, order: int) -> tuple[np.ndarray, ...]:
+    """Empty ``saved`` arrays of ``_box_terms`` for points of (broadcast) ``shape``."""
+    return (np.empty(shape[:-1]),) + tuple(np.empty(shape) for _ in range(2 if order == 1 else 3))
+
+
+def _work_arrays(shape: tuple) -> tuple[np.ndarray, ...]:
+    """Empty ``work`` arrays of ``_box_terms`` for points of (broadcast) ``shape``."""
+    return tuple(np.empty(shape) for _ in range(4)) + (np.empty(shape, dtype=bool),)
 
 
 # Largest block, in cells, of the per-box paths (``box_score_rows`` with
-# ``box_ids``, ``translated_box_score_rows``): 2**15 float64 cells (256 KB; 256 rows at d = 128).  A
-# block keeps about a dozen temporaries alive at once, 3 MB, near the 2 MB L2
-# cache of one core.  On a 2-core Xeon, 2**13 to 2**17 cells ran a 51,200 x
-# 128 call equally fast; 2**16 let the forward's peak reach 3.6 (n, d)
-# arrays at d = 64 against 3.35 at 2**15.  The rule reads the shapes alone.
+# ``box_ids``, ``translated_box_score_rows``): 2**15 float64 cells (256 KB;
+# 256 rows at d = 128).  A block's four float and one bool work arrays take
+# 1.1 MB, within the 2 MB L2 cache of one core.  On a 2-core Xeon, 2**13 to
+# 2**17 cells ran a 51,200 x 128 call equally fast; 2**16 let the forward's
+# peak reach 3.6 (n, d) arrays at d = 64 against 3.35 at 2**15.  The rule
+# reads the shapes alone.
 BOX_SCORE_BLOCK_CELLS = 2**15
 
 
-def _blocked_terms(n: int, d: int, terms) -> tuple[np.ndarray, ...]:
-    """Run ``terms`` over blocks of rows in order and join the results into n-row arrays.
+class _BlockWork(threading.local):
+    """Flat work arrays of ``_box_terms`` for one block, made once per thread.
 
-    ``terms`` returns ``_box_terms`` of the rows a slice selects; a block
-    holds at most ``BOX_SCORE_BLOCK_CELLS`` cells.
+    Made afresh per call, they were freed to the top of glibc's heap,
+    trimmed, and faulted back in by the next call: a ``joint-mlp`` training
+    run (seed 1) took two to three times the minor page faults and system
+    time.
+    """
+
+    def __init__(self):
+        self.arrays = _work_arrays((BOX_SCORE_BLOCK_CELLS,))
+
+
+_BLOCK_WORK = _BlockWork()
+
+
+def _blocked_terms(n: int, d: int, order: int, terms) -> tuple[np.ndarray, ...]:
+    """Run ``terms`` over blocks of rows in order; returns the n-row ``saved`` arrays.
+
+    ``terms(rows, saved, work)`` writes ``_box_terms`` of the rows a slice
+    selects into those ``saved`` rows, using ``work`` of the block's size.
+    A block holds at most ``BOX_SCORE_BLOCK_CELLS`` cells (one row if d is
+    larger), and its work arrays are views of the thread's ``_BLOCK_WORK``.
     """
     step = max(1, BOX_SCORE_BLOCK_CELLS // d)
-    if n <= step:  # one block: its terms are the saved arrays, uncopied
-        return terms(slice(None))
-    saved = None
+    flat = _BLOCK_WORK.arrays if step * d <= BOX_SCORE_BLOCK_CELLS else _work_arrays((d,))
+    saved = _saved_arrays((n, d), order)
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        part = terms(rows)
-        if saved is None:
-            saved = tuple(np.empty((n,) + a.shape[1:]) for a in part)
-        for out, a in zip(saved, part):
-            out[rows] = a
+        size = min(step, n - start)
+        work = tuple(a[: size * d].reshape(size, d) for a in flat)
+        terms(rows, tuple(a[rows] for a in saved), work)
     return saved
 
 
@@ -761,11 +808,13 @@ def box_score_rows(
     p = points.data
     bank = (center.data,) + _box_constants(width.data)
     if box_ids is None:
-        saved = _box_terms(p, bank, ..., order)
+        shape = np.broadcast_shapes(p.shape, center.data.shape, width.data.shape)
+        saved = _saved_arrays(shape, order)
+        _box_terms(p, bank, ..., saved, _work_arrays(shape))
     else:
         saved = _blocked_terms(
-            len(box_ids), p.shape[-1],
-            lambda rows: _box_terms(p[rows], bank, box_ids[rows], order),
+            len(box_ids), p.shape[-1], order,
+            lambda rows, saved, work: _box_terms(p[rows], bank, box_ids[rows], saved, work),
         )
     return _box_score_node(saved, ((points, None),), center, width, box_ids)
 
@@ -794,11 +843,12 @@ def translated_box_score_rows(
     pos, bump = positions.data, bumps.data
     bank = (center.data,) + _box_constants(width.data)
 
-    def terms(rows):
-        points = pos[point_ids[rows]] + bump[bump_ids[rows]]
-        return _box_terms(points, bank, box_ids[rows], order)
+    def terms(rows, saved, work):
+        points = np.take(pos, point_ids[rows], axis=0, out=work[0])
+        points += np.take(bump, bump_ids[rows], axis=0, out=work[1])
+        _box_terms(points, bank, box_ids[rows], saved, work)
 
-    saved = _blocked_terms(len(box_ids), pos.shape[-1], terms)
+    saved = _blocked_terms(len(box_ids), pos.shape[-1], order, terms)
     sinks = ((positions, point_ids), (bumps, bump_ids))
     return _box_score_node(saved, sinks, center, width, box_ids)
 

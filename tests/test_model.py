@@ -397,15 +397,16 @@ class TestGradients:
 
 # "random" keeps the original draws; the named cases add rows spanning four
 # blocks at d = 128 in unsorted box order, a box that no row uses, points at
-# their box center (whole rows, so zero distance rows under L2) and points on
-# box faces.  3 boxes reduce by one-hot matmul and 40 by bincount.
+# their box center (whole rows, so zero distance rows under L2), points on
+# box faces, and rows wider than a block, which score one row per block.  3
+# boxes reduce by one-hot matmul and 40 by bincount.
 BOX_ROW_CASES = [
     pytest.param(norm, n_boxes, "random", id=f"{norm}-{n_boxes}")
     for norm in (1, 2)
     for n_boxes in (3, 40)
 ] + [
     pytest.param(norm, n_boxes, case, id=f"{norm}-{n_boxes}-{case}")
-    for case in ("blocks", "unused-box", "center", "face")
+    for case in ("blocks", "unused-box", "center", "face", "wide")
     for norm in (1, 2)
     for n_boxes in (3, 40)
 ]
@@ -415,7 +416,10 @@ class TestBoxScoreRows:
     @pytest.mark.parametrize("norm,n_boxes,case", BOX_ROW_CASES)
     def test_box_ids_match_gathered_boxes(self, norm, n_boxes, case):
         rng = np.random.default_rng(n_boxes + norm)
-        n_rows, d = (4 * BOX_SCORE_BLOCK_CELLS // 128 - 30, 128) if case == "blocks" else (60, 4)
+        n_rows, d = {
+            "blocks": (4 * BOX_SCORE_BLOCK_CELLS // 128 - 30, 128),
+            "wide": (5, BOX_SCORE_BLOCK_CELLS + 3),
+        }.get(case, (60, 4))
         points = rng.uniform(-2.0, 2.0, (n_rows, d))
         center = rng.uniform(-1.0, 1.0, (n_boxes, d))
         width = rng.uniform(1.0, 3.0, (n_boxes, d))
