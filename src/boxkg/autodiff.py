@@ -2,10 +2,11 @@
 
 Implements exactly the operations the scoring and loss graphs need; the
 point-to-box score itself is fused in ``model`` (``box_score_rows``, and
-``translated_box_score_rows`` for binary facts).  All
-data and gradients are float64.  ``relu`` propagates the subgradient of the
-branch taken in the forward pass, with zero at the kink.  Backward closures
-skip work for parents that do not require gradients.
+``translated_box_score_rows`` for binary facts); ``matmul`` is a whole
+dense layer.  All data and gradients are float64.  Rectifiers propagate the
+subgradient of the branch taken in the forward pass, with zero at the kink.
+Backward closures skip work for parents that do not require gradients, and
+hold arrays, never their own output tensor, so no graph forms a cycle.
 """
 
 from __future__ import annotations
@@ -141,16 +142,46 @@ def mul(a, b) -> Tensor:
     return _node(a.data * b.data, (a, b), backward)
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None, relu: bool = False) -> Tensor:
+    """``a @ b``, plus ``bias``, then a rectifier if ``relu``: values and
+    gradients of ``matmul``, ``add`` and ``relu`` chained, but the node keeps
+    only its output, worked in place; the rectifier's mask is ``out > 0``.
+    With ``relu`` the backward writes the masked gradient over the output,
+    which every consumer has used by then, so it runs once."""
     a, b = as_tensor(a), as_tensor(b)
+    bias = None if bias is None else as_tensor(bias)
+    out = a.data @ b.data
+    if bias is not None:
+        out += bias.data
+    if relu:
+        np.copyto(out, 0.0, where=np.logical_not(out > 0))
 
     def backward(g):
+        if relu:
+            g = np.multiply(g, out > 0, out=out)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g)
         if a.requires_grad:
             a._accumulate(g @ b.data.T)
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    return _node(a.data @ b.data, (a, b), backward)
+    parents = (a, b) if bias is None else (a, b, bias)
+    return _node(out, parents, once(backward) if relu else backward)
+
+
+def once(backward):
+    """``backward`` that raises when called again, for nodes that consume what they saved."""
+    spent = False
+
+    def run(g):
+        nonlocal spent
+        if spent:
+            raise RuntimeError("graph already backpropagated")
+        spent = True
+        backward(g)
+
+    return run
 
 
 def relu(a) -> Tensor:

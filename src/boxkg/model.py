@@ -121,13 +121,11 @@ def mlp_init(input_dim: int, hidden: tuple[int, ...], output_dim: int, rng) -> M
 
 
 def mlp_forward(mlp: MlpParams, x: np.ndarray) -> np.ndarray:
-    h = np.asarray(x, dtype=np.float64)
+    """The MLP's output, layer by layer through ``autodiff.matmul``, as in training."""
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return h
+        x = ad.matmul(x, w, b, relu=i < last).data
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +595,10 @@ def check_dataset_compat(params: ModelParams, dataset) -> None:
 
 
 def mlp_forward_tensors(pt: dict, prefix: str, n_layers: int, x: np.ndarray) -> "Tensor":
+    """The MLP ``prefix`` on ``x``: one ``autodiff.matmul`` node per layer."""
     h: "Tensor" = ad.Tensor(x)
     for i in range(n_layers):
-        h = ad.matmul(h, pt[f"{prefix}.w{i}"]) + pt[f"{prefix}.b{i}"]
-        if i < n_layers - 1:
-            h = ad.relu(h)
+        h = ad.matmul(h, pt[f"{prefix}.w{i}"], pt[f"{prefix}.b{i}"], relu=i < n_layers - 1)
     return h
 
 
@@ -746,7 +743,8 @@ def _box_score_node(saved, sinks, center: "Tensor", width: "Tensor", box_ids) ->
     ``(tensor, None)`` when the tensor holds the points themselves,
     ``(table, index)`` when point i took ``table[index[i]]``.  The point
     gradient goes to each in turn, scattered onto tables by
-    ``autodiff.scatter_rows``.
+    ``autodiff.scatter_rows``.  The backward forms its terms in ``saved``,
+    so a graph through the node backpropagates once; a second raises.
     """
     norms, signed_slope, d_width, *unit = saved
 
@@ -755,12 +753,10 @@ def _box_score_node(saved, sinks, center: "Tensor", width: "Tensor", box_ids) ->
         return g_rows if box_ids is None else ad.scatter_rows(box_ids, g_rows, len(center.data))
 
     def backward(g):
-        g_dist = g[..., None] * unit[0] if unit else g[..., None]
-        # the width term first, so that at most two (n, d) arrays are live:
-        # under L2 g_dist then turns into g_points in place
+        g_dist = np.multiply(g[..., None], unit[0], out=unit[0]) if unit else g[..., None]
         if width.requires_grad:
-            width._accumulate(per_box(g_dist * d_width))
-        g_points = np.multiply(g_dist, signed_slope, out=g_dist if unit else None)
+            width._accumulate(per_box(np.multiply(g_dist, d_width, out=d_width)))
+        g_points = np.multiply(g_dist, signed_slope, out=signed_slope)
         for source, index in sinks:
             if source.requires_grad:
                 source._accumulate(
@@ -771,7 +767,7 @@ def _box_score_node(saved, sinks, center: "Tensor", width: "Tensor", box_ids) ->
             center._accumulate(-per_box(g_points))
 
     parents = tuple(source for source, _ in sinks) + (center, width)
-    return ad._node(norms, parents, backward)
+    return ad._node(norms, parents, ad.once(backward))
 
 
 def box_score_rows(
@@ -789,7 +785,8 @@ def box_score_rows(
     all-zero distance row under the L2 norm gets a zero subgradient instead
     of a division by zero.  The forward keeps only what the backward needs:
     the signed slope d dist/d point, d dist/d width and, under L2, the unit
-    vector d norm/d dist.  The backward multiplies ``g * unit`` by each.
+    vector d norm/d dist.  The backward multiplies ``g * unit`` by each, in
+    place in those arrays, so a graph through it backpropagates once.
 
     Without ``box_ids``, ``points`` and the center/width boxes broadcast
     against each other, for example (n, 1, d) points against (1, C, d) boxes

@@ -160,6 +160,16 @@ def ref_random_assignment(n_entities, n_classes, n_relations, seed, true_prob=0.
     return frozenset(true_facts), frozenset(false_facts)
 
 
+def ref_mlp_forward_tensors(pt, prefix: str, n_layers: int, x):
+    """The MLP ``prefix`` as a ``matmul``, an ``add`` and (hidden layers) a ``relu`` per layer."""
+    h = ad.Tensor(x)
+    for i in range(n_layers):
+        h = ad.matmul(h, pt[f"{prefix}.w{i}"]) + pt[f"{prefix}.b{i}"]
+        if i < n_layers - 1:
+            h = ad.relu(h)
+    return h
+
+
 def ref_binary_score_tensors(positions, bumps, rel, head, tail, boxes, order):
     """Binary scores as four gathers, two adds and two ``box_score_rows`` calls.
 

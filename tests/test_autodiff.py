@@ -60,6 +60,52 @@ def test_matmul():
     check(lambda t: ad.tsum(ad.mul(ad.matmul(t[0], t[1]), 0.3)), [a, b])
 
 
+def same_bits(got, want):
+    """Equal values with equal signs of zero, NaN where the other has NaN."""
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_dense_layer_matches_chained_ops(relu, with_bias):
+    # a zero row and -0.0 inputs and biases give exact-zero pre-activations
+    # (the rectifier's kink); an infinite input times a zero weight gives NaN
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((6, 4))
+    a[0], a[1] = 0.0, -0.0
+    a[2, 0] = np.inf
+    b = rng.standard_normal((4, 5))
+    b[0, 4] = 0.0
+    bias = rng.standard_normal(5)
+    bias[[0, 1]] = 0.0, -0.0
+    upstream = rng.standard_normal((6, 5))
+
+    def run(fused):
+        leaves = [ad.Tensor(x, requires_grad=True) for x in (a, b, bias)]
+        x, w, c = leaves
+        c = c if with_bias else None
+        with np.errstate(invalid="ignore"):
+            if fused:
+                out = ad.matmul(x, w, c, relu=relu)
+            else:
+                out = ad.matmul(x, w) if c is None else ad.matmul(x, w) + c
+                out = ad.relu(out) if relu else out
+            value = out.data.copy()  # a rectifying layer's backward spends it
+            loss = ad.tsum(ad.mul(out, upstream))
+            loss.backward()
+        if fused and relu:
+            with pytest.raises(RuntimeError, match="already backpropagated"):
+                loss.backward()
+        return [value] + list(ad.gradients(dict(enumerate(leaves))).values())
+
+    fused, chained = run(True), run(False)
+    if relu:
+        assert not np.any(np.signbit(fused[0])) and not np.any(np.isnan(fused[0]))
+    for got, want in zip(fused, chained):
+        same_bits(got, want)
+
+
 def test_relu():
     a = RNG.standard_normal((4, 4)) + 0.3
     check(lambda t: ad.tsum(ad.mul(ad.relu(t[0]), t[0])), [a])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from boxkg import autodiff as ad
+from boxkg import autodiff as ad, model
 from boxkg.data import Binary, DataError, Dataset, LabelSplits, Unary, Vocabulary
 from boxkg.model import (
     BOX_SCORE_BLOCK_CELLS,
@@ -31,6 +31,7 @@ from boxkg.model import (
     representation_tensors,
     save_model,
     softplus,
+    translated_box_score_rows,
 )
 from boxkg.training import LossConfig, TrainConfig, batch_gradients, FactBatch, train
 
@@ -134,6 +135,70 @@ class TestEntityRepresentation:
         positions, bumps = representation_tensors(params, ad.leaves(params.param_dict()), features)
         np.testing.assert_allclose(positions.data, config.positions)
         np.testing.assert_allclose(bumps.data, config.bumps)
+
+    @pytest.mark.parametrize("mode", ["boxe", "mlp-boxe"])
+    def test_mlp_matches_unfused_layers(self, mode, monkeypatch):
+        # a zero feature row, -0.0 features and zeroed biases put
+        # pre-activations exactly on the rectifier's kink
+        cfg = ModelConfig(d=4, mode=mode, mlp_hidden=(7, 6), feature_dim=3)
+        params = init_params((9, 2, 2), cfg, seed=6)
+        rng = np.random.default_rng(6)
+        features = rng.standard_normal((9, 3))
+        features[0], features[1] = 0.0, -0.0
+        if params.mlp_point is not None:
+            for mlp in (params.mlp_point, params.mlp_bump):
+                mlp.biases[0][:3] = 0.0
+                mlp.biases[1][:2] = -0.0
+        batch = FactBatch(
+            unary_cls=np.array([0, 1, 1]),
+            unary_ent=np.array([0, 4, 8]),
+            unary_neg_cls=np.array([[1], [0], [0]]),
+            binary_rel=np.array([0, 1]),
+            binary_head=np.array([1, 5]),
+            binary_tail=np.array([2, 0]),
+            binary_neg_head=np.array([[3, 1], [5, 6]]),
+            binary_neg_tail=np.array([[2, 7], [1, 0]]),
+        )
+        loss_cfg = LossConfig("ns", margin=2.0)
+        fused = batch_gradients(params, batch, loss_cfg, features)
+        monkeypatch.setattr(model, "mlp_forward_tensors", ref.ref_mlp_forward_tensors)
+        unfused = batch_gradients(params, batch, loss_cfg, features)
+        assert fused[0] == unfused[0]
+        assert fused[1].keys() == unfused[1].keys()
+        for name, grad in fused[1].items():
+            assert grad.tobytes() == unfused[1][name].tobytes(), name
+        if params.mlp_point is None:
+            return
+        pt = ad.leaves(params.param_dict())
+        pre = features @ params.mlp_point.weights[0] + params.mlp_point.biases[0]
+        assert np.any(pre == 0.0)
+        for prefix, mlp in (("mlp_point", params.mlp_point), ("mlp_bump", params.mlp_bump)):
+            want = ref.ref_mlp_forward_tensors(pt, prefix, 3, features).data
+            assert mlp_forward(mlp, features).tobytes() == want.tobytes()
+            assert model.mlp_forward_tensors(pt, prefix, 3, features).data.tobytes() == (
+                want.tobytes()
+            )
+            assert np.any(fused[1][f"{prefix}.w1"]) and np.any(fused[1][f"{prefix}.b0"])
+
+    def test_mlp_graph_memory(self):
+        # in units of one (n, hidden) float64 array: each of the two hidden
+        # layers keeps only its output, beside the small output layer
+        rng = np.random.default_rng(9)
+        n, hidden = 2_000, 256
+        mlp = mlp_init(16, (hidden, hidden), 4, rng)
+        pt = ad.leaves({
+            **{f"m.w{i}": w for i, w in enumerate(mlp.weights)},
+            **{f"m.b{i}": b for i, b in enumerate(mlp.biases)},
+        })
+        features = rng.standard_normal((n, 16))
+        tracemalloc.start()
+        try:
+            out = model.mlp_forward_tensors(pt, "m", 3, features)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, 4)
+        assert kept / (n * hidden * 8) <= 2.3
 
     def test_missing_features_rejected(self):
         cfg = ModelConfig(d=6, mode="mlp-boxe", mlp_hidden=(5,), feature_dim=3)
@@ -564,6 +629,49 @@ class TestBinaryScoreTensors:
             tracemalloc.stop()
         assert scores.shape == (n,)
         assert kept / (n * d * 8) <= kept_limit
+
+    @pytest.mark.parametrize("norm", [1, 2])
+    def test_backward_memory(self, norm):
+        # in units of one (n, d) float64 array: the backward forms its terms
+        # in the forward's saved arrays; what remains is scatter_rows' index
+        rng = np.random.default_rng(9)
+        n, d, n_entities = 20_000, 64, 500
+        params = init_params((n_entities, 0, 3), ModelConfig(d=d, norm=norm), seed=0)
+        pt = ad.leaves(params.param_dict())
+        rel, head, tail = (rng.integers(0, k, n) for k in (3, n_entities, n_entities))
+        width = ad.softplus(pt["rel_head_size_raw"]) + 1.0
+        scores = translated_box_score_rows(
+            pt["point_emb"], pt["bump_emb"], head, tail, pt["rel_head_center"], width, norm, rel
+        )
+        loss = ad.tsum(scores)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.any(pt["point_emb"].grad) and np.any(pt["rel_head_size_raw"].grad)
+        assert (peak - start) / (n * d * 8) <= 1.4
+
+    @pytest.mark.parametrize("translated", [False, True])
+    def test_second_backward_raises(self, translated):
+        # the backward consumes the forward's saved arrays
+        params = init_params((5, 0, 2), ModelConfig(d=3), seed=1)
+        pt = ad.leaves(params.param_dict())
+        rel, head, tail = np.array([0, 1, 1]), np.array([0, 2, 4]), np.array([1, 1, 3])
+        width = ad.softplus(pt["rel_head_size_raw"]) + 1.0
+        if translated:
+            scores = translated_box_score_rows(
+                pt["point_emb"], pt["bump_emb"], head, tail, pt["rel_head_center"], width, 2, rel
+            )
+        else:
+            points = ad.take_rows(pt["point_emb"], head)
+            scores = box_score_rows(points, pt["rel_head_center"], width, 2, box_ids=rel)
+        loss = ad.tsum(scores)
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
 
 
 class TestCheckpoint:
