@@ -32,11 +32,14 @@ def _label_file(split: str) -> str:
 
 def _data_lines(path):
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+        try:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line or line.startswith("#"):
+                    continue
+                yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _parse_edge_file(path) -> list[tuple[str, str, str]]:

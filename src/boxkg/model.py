@@ -32,7 +32,9 @@ expressiveness oracle operate on.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -50,7 +52,7 @@ MODE_BOXE = "boxe"
 MODE_MLP_BOXE = "mlp-boxe"
 
 CHECKPOINT_FORMAT = "boxkg-model"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # what save_model writes; load_model also reads version 1
 
 # Feature MLPs spread the initial points several times wider than the
 # embedding initialization does, so feature-mode boxes start with larger
@@ -444,13 +446,17 @@ def config_scores_all_tails(cfg: ExplicitConfig, rel: int, head: int) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container (structured text, lossless round trip)
+# checkpoint container (JSON with base64 float64 tensors, lossless round trip)
 
 
 def save_model(params: ModelParams, path) -> None:
+    """Write a version-2 checkpoint: JSON whose tensors hold base64 ``<f8`` bytes."""
     cfg = params.config
     tensors = {
-        name: {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
+        name: {
+            "shape": list(arr.shape),
+            "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f8")).decode("ascii"),
+        }
         for name, arr in params.param_dict().items()
     }
     payload = {
@@ -476,8 +482,40 @@ def save_model(params: ModelParams, path) -> None:
         handle.write("\n")
 
 
+def _decode_tensor(name: str, entry, version: int) -> np.ndarray:
+    """One checkpoint tensor as a fresh writable float64 array, or ``DataError``.
+
+    Version 1 stores ``data`` as a flat list of JSON numbers, version 2 as
+    the base64 of the tensor's little-endian float64 bytes.
+    """
+    if not isinstance(entry, dict) or set(entry) != {"shape", "data"}:
+        raise DataError(f"checkpoint tensor {name} must hold exactly 'shape' and 'data'")
+    shape, data = entry["shape"], entry["data"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise DataError(f"checkpoint tensor {name} has shape {shape!r}, not non-negative ints")
+    size = math.prod(shape)
+    if version == 1:
+        if not isinstance(data, list) or not set(map(type, data)) <= {int, float}:
+            raise DataError(f"checkpoint tensor {name} data is not a list of numbers")
+        if len(data) != size:
+            raise DataError(f"checkpoint tensor {name} has {len(data)} values, expected {size}")
+        try:
+            return np.array(data, dtype=np.float64).reshape(shape)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise DataError(f"checkpoint tensor {name}: {exc}") from exc
+    if not isinstance(data, str):
+        raise DataError(f"checkpoint tensor {name} data is not a base64 string")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise DataError(f"checkpoint tensor {name} data is not base64: {exc}") from exc
+    if len(raw) != 8 * size:
+        raise DataError(f"checkpoint tensor {name} holds {len(raw)} bytes, expected {8 * size}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def load_model(path) -> ModelParams:
-    """Read a checkpoint; malformed content raises ``DataError``.
+    """Read a version-1 or version-2 checkpoint; malformed content raises ``DataError``.
 
     Every tensor must be present, finite and shaped as the stored counts
     and ``d`` imply, and each feature MLP must chain from ``feature_dim``
@@ -486,14 +524,14 @@ def load_model(path) -> ModelParams:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"corrupt checkpoint {path}: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"{path} is not a model checkpoint")
-    if payload.get("format_version") != CHECKPOINT_VERSION:
+    version = payload.get("format_version")
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise DataError(
-            f"checkpoint version {payload.get('format_version')} unsupported "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"checkpoint version {version!r} unsupported (expected 1 or {CHECKPOINT_VERSION})"
         )
     try:
         raw_cfg = payload["config"]
@@ -507,7 +545,7 @@ def load_model(path) -> ModelParams:
         )
         counts = {key: payload["counts"][key] for key in ("entities", "classes", "relations")}
         tensors = {
-            name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            name: _decode_tensor(name, entry, version)
             for name, entry in payload["tensors"].items()
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -111,8 +111,12 @@ def adam_step(
         param = params[name]
         if grad.shape != param.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        m = state.m.setdefault(name, np.zeros_like(param))
-        v = state.v.setdefault(name, np.zeros_like(param))
+        m = state.m.get(name)
+        if m is None:
+            m = state.m[name] = np.zeros_like(param)
+        v = state.v.get(name)
+        if v is None:
+            v = state.v[name] = np.zeros_like(param)
         update, denom = np.empty_like(param), np.empty_like(param)
         m *= state.beta1
         m += np.multiply(1.0 - state.beta1, grad, out=update)

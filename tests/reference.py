@@ -4,16 +4,18 @@ Everything here is written with plain Python loops and scalar arithmetic
 (the losses with small numpy helpers), separate from the library's
 vectorized code paths, so that agreement is meaningful.  The one exception
 is ``ref_binary_score_tensors``, the unfused graph that the library's fused
-binary scoring must reproduce bit for bit.
+binary scoring must reproduce bit for bit.  ``ref_save_model_v1`` is the
+version-1 checkpoint writer, which ``load_model`` still reads.
 """
 
+import json
 import math
 
 import numpy as np
 
 from boxkg import autodiff as ad
 from boxkg.data import Binary, Unary
-from boxkg.model import box_score_rows
+from boxkg.model import CHECKPOINT_FORMAT, box_score_rows
 
 
 def ref_distance(p: float, lower: float, upper: float) -> float:
@@ -181,3 +183,33 @@ def ref_binary_score_tensors(positions, bumps, rel, head, tail, boxes, order):
     return box_score_rows(head_final, hc, hw, order, box_ids=rel) + box_score_rows(
         tail_final, tc, tw, order, box_ids=rel
     )
+
+
+def ref_save_model_v1(params, path) -> None:
+    """Write a version-1 checkpoint: every tensor as a flat list of JSON numbers."""
+    cfg = params.config
+    tensors = {
+        name: {"shape": list(arr.shape), "data": [float(v) for v in arr.ravel()]}
+        for name, arr in params.param_dict().items()
+    }
+    payload = {
+        "format": CHECKPOINT_FORMAT,
+        "format_version": 1,
+        "config": {
+            "d": cfg.d,
+            "norm": cfg.norm,
+            "mode": cfg.mode,
+            "embedding_scale": cfg.embedding_scale,
+            "mlp_hidden": list(cfg.mlp_hidden),
+            "feature_dim": cfg.feature_dim,
+        },
+        "counts": {
+            "entities": params.n_entities,
+            "classes": params.n_classes,
+            "relations": params.n_relations,
+        },
+        "tensors": tensors,
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True)
+        handle.write("\n")

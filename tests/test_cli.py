@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, files written, reproducibility."""
 
+import base64
 import ctypes
 import glob
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,8 @@ import numpy as np
 import pytest
 
 from boxkg.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from boxkg.model import load_model
+from reference import ref_save_model_v1
 
 
 def run(*args):
@@ -184,20 +188,45 @@ class TestTrainEvaluate:
         "mutation", ["missing-tensor", "shape-overflow", "shape-transposed", "nan"]
     )
     def test_malformed_checkpoint_is_data_error(self, trained, synth_dir, tmp_path, mutation):
-        payload = json.loads((trained / "model.json").read_text())
-        tensors = payload["tensors"]
-        if mutation == "missing-tensor":
-            del tensors["bump_emb"]
-        elif mutation == "shape-overflow":
-            tensors["class_center"]["shape"][1] += 1
-        elif mutation == "shape-transposed":
-            tensors["rel_head_size_raw"]["shape"].reverse()
+        # the same mutation of a version-1 (reference writer) and a version-2 file
+        v1 = tmp_path / "v1.json"
+        ref_save_model_v1(load_model(trained / "model.json"), v1)
+        for version, path in ((1, v1), (2, trained / "model.json")):
+            payload = json.loads(path.read_text())
+            assert payload["format_version"] == version
+            tensors = payload["tensors"]
+            if mutation == "missing-tensor":
+                del tensors["bump_emb"]
+            elif mutation == "shape-overflow":
+                tensors["class_center"]["shape"][1] += 1
+            elif mutation == "shape-transposed":
+                tensors["rel_head_size_raw"]["shape"].reverse()
+            elif version == 1:
+                tensors["point_emb"]["data"][3] = float("nan")
+            else:  # NaN enters as decoded bytes
+                raw = bytearray(base64.b64decode(tensors["point_emb"]["data"]))
+                raw[24:32] = struct.pack("<d", float("nan"))
+                tensors["point_emb"]["data"] = base64.b64encode(raw).decode("ascii")
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(payload))
+            code = run("evaluate", "--checkpoint", bad, "--data", synth_dir, "--task", "classify")
+            assert code == EXIT_DATA, version
+
+    @pytest.mark.parametrize("reader", ["checkpoint", "edges"])
+    def test_invalid_utf8_is_data_error(self, trained, synth_dir, tmp_path, capsys, reader):
+        if reader == "checkpoint":
+            bad = tmp_path / "bad.json"
+            bad.write_bytes(b"\xff\xfe" + (trained / "model.json").read_bytes())
+            args = ("evaluate", "--checkpoint", bad, "--data", synth_dir, "--task", "classify")
         else:
-            tensors["point_emb"]["data"][3] = float("nan")
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
-        code = run("evaluate", "--checkpoint", bad, "--data", synth_dir, "--task", "classify")
-        assert code == EXIT_DATA
+            edges = synth_dir / "edges.tsv"
+            edges.write_bytes(edges.read_bytes() + b"e0\tr\xff\te1\n")
+            args = ("validate", "--data", synth_dir)
+        capsys.readouterr()
+        assert run(*args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "utf-8" in err.lower()
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
     def test_non_finite_feature_is_data_error(self, synth_dir, tmp_path, capsys):
         mlp_flags = ("--mode", "mlp-boxe", "--dim", 4, "--hidden", "8", "--epochs", 1,

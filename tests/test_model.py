@@ -1,5 +1,6 @@
 """Model parameters, scoring, gradients, and checkpointing."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -723,8 +724,6 @@ class TestCheckpoint:
             load_model(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        import json
-
         params = init_params((3, 1, 1), ModelConfig(d=2, mode="boxe"), seed=26)
         path = tmp_path / "model.json"
         save_model(params, path)
@@ -733,3 +732,106 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="version"):
             load_model(path)
+
+    def test_v1_and_v2_load_identical_arrays(self, tmp_path):
+        rng = np.random.default_rng(32)
+        cfg = ModelConfig(d=4, mode="mlp-boxe", mlp_hidden=(5,), feature_dim=3)
+        params = init_params((6, 2, 2), cfg, seed=33)
+        params.point_emb[0, :3] = [-0.0, 5e-324, 1.7976931348623157e308]  # sign, subnormal, max
+        params.bump_emb[:] = rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-300, 300, (6, 4))
+        ref.ref_save_model_v1(params, tmp_path / "v1.json")
+        save_model(params, tmp_path / "v2.json")
+        assert json.loads((tmp_path / "v2.json").read_text())["format_version"] == 2
+        v1, v2 = load_model(tmp_path / "v1.json"), load_model(tmp_path / "v2.json")
+        assert v1.config == v2.config == params.config
+        for name, want in params.param_dict().items():
+            for loaded in (v1.param_dict()[name], v2.param_dict()[name]):
+                assert loaded.dtype == np.float64 and loaded.shape == want.shape
+                assert loaded.tobytes() == want.tobytes(), name
+                assert loaded.flags.c_contiguous and loaded.flags.writeable
+                root = loaded if loaded.base is None else loaded.base  # v1 reshapes its list
+                assert root.flags.owndata and root.base is None
+
+    @pytest.mark.parametrize("value", ["1.5", True, None, [1.0], 10**400])
+    def test_v1_data_must_be_numbers(self, tmp_path, value):
+        params = init_params((3, 1, 1), ModelConfig(d=2, mode="boxe"), seed=34)
+        path = tmp_path / "model.json"
+        ref.ref_save_model_v1(params, path)
+        payload = json.loads(path.read_text())
+        payload["tensors"]["bump_emb"]["data"][1] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="bump_emb"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ("not-base64", "not base64"),
+            ("line-break", "not base64"),
+            ("non-ascii", "not base64"),
+            ("unpadded", "not base64"),
+            ("short", "bytes"),
+            ("bool-axis", "shape"),
+            ("negative-axis", "shape"),
+            ("float-axis", "shape"),
+            ("extra-axis", "bytes"),
+            ("number-list", "base64 string"),
+            ("dtype-key", "exactly"),
+        ],
+    )
+    def test_v2_tensor_checks(self, tmp_path, mutation, message):
+        params = init_params((3, 1, 1), ModelConfig(d=2, mode="boxe"), seed=35)
+        path = tmp_path / "model.json"
+        save_model(params, path)
+        payload = json.loads(path.read_text())
+        entry = payload["tensors"]["point_emb"]  # shape [3, 2]: 48 bytes, 64 characters
+        if mutation == "not-base64":
+            entry["data"] = entry["data"][:10] + "!" + entry["data"][11:]
+        elif mutation == "line-break":  # a lenient decoder would skip it
+            entry["data"] = entry["data"][:32] + "\n" + entry["data"][32:]
+        elif mutation == "non-ascii":
+            entry["data"] = entry["data"][:10] + "\u00e9" + entry["data"][11:]
+        elif mutation == "unpadded":
+            entry["data"] = entry["data"][:-1]
+        elif mutation == "short":
+            entry["data"] = entry["data"][:-4]
+        elif mutation == "bool-axis":
+            entry["shape"] = [3, True, 2]
+        elif mutation == "negative-axis":
+            entry["shape"] = [-3, -2]
+        elif mutation == "float-axis":
+            entry["shape"] = [3.0, 2]
+        elif mutation == "extra-axis":
+            entry["shape"] = [3, 2, 2]
+        elif mutation == "number-list":
+            entry["data"] = params.point_emb.ravel().tolist()
+        else:
+            entry["dtype"] = "<f8"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("writer", ["v1", "v2"])
+    def test_memory(self, tmp_path, writer):
+        # peak traced allocation of a save and a load, in units of the tensors' bytes
+        cfg = ModelConfig(d=64, mode="mlp-boxe", mlp_hidden=(256, 256), feature_dim=16)
+        params = init_params((400, 4, 2), cfg, seed=36)
+        raw = sum(arr.nbytes for arr in params.param_dict().values())
+        assert 1.6e6 < raw < 2.0e6  # ~225k floats
+        path = tmp_path / "model.json"
+
+        def peak(fn, *args):
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                fn(*args)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return (top - start) / raw
+
+        if writer == "v1":  # the reference writer is not guarded, only the loader
+            ref.ref_save_model_v1(params, path)
+        else:
+            assert peak(save_model, params, path) <= 3.5
+        assert peak(load_model, path) <= (7.5 if writer == "v1" else 3.5)

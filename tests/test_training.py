@@ -169,6 +169,23 @@ class TestAdam:
                 np.testing.assert_array_equal(state.v[name], want[name][2])
 
 
+    def test_state_made_once_and_updated_in_place(self):
+        rng = np.random.default_rng(12)
+        params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+        want = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in params.items()}
+        state = AdamState(lr=1e-2)
+        for step in range(1, 4):
+            grads = {name: rng.normal(size=p.shape) for name, p in params.items()}
+            adam_step(state, params, grads)
+            if step == 1:
+                arrays = {name: (state.m[name], state.v[name]) for name in params}
+            for name, grad in grads.items():
+                assert state.m[name] is arrays[name][0] and state.v[name] is arrays[name][1]
+                want[name] = ref_adam_update(*want[name], grad, step, lr=1e-2)
+                for got, ref in zip((params[name], state.m[name], state.v[name]), want[name]):
+                    assert got.tobytes() == ref.tobytes()
+
+
 class TestLossConfig:
     def test_kind_validated(self):
         with pytest.raises(ValueError):
