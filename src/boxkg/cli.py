@@ -44,6 +44,7 @@ from .expressive import (
     verify_separation,
 )
 from .io import (
+    _data_lines,
     ensure_dir,
     load_dataset_dir,
     save_dataset,
@@ -105,19 +106,18 @@ def _parse_edge_names(path, vocab) -> tuple[Binary, ...]:
 
 def _config_tokens(path) -> list[str]:
     tokens = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "config":
-                continue
-            tokens.extend([f"--{key.replace('_', '-')}", value])
+    for lineno, raw in _data_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key == "config":
+            continue
+        tokens.extend([f"--{key.replace('_', '-')}", value])
     return tokens
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -514,12 +515,30 @@ def _decode_tensor(name: str, entry, version: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # not bool: JSON true and false load as bools, a kind of int
+
+
+# (field, what it must be, test) for the numeric fields of a checkpoint's
+# config; ``ModelConfig`` checks their ranges and the mode
+_CONFIG_FIELD_TYPES = (
+    ("d", "an int", _is_int),
+    ("norm", "an int", _is_int),
+    ("feature_dim", "null or an int", lambda v: v is None or _is_int(v)),
+    ("embedding_scale", "null or a finite number",
+     lambda v: v is None or type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    ("mlp_hidden", "a list of positive ints",
+     lambda v: type(v) is list and all(_is_int(n) and n > 0 for n in v)),
+)
+
+
 def load_model(path) -> ModelParams:
     """Read a version-1 or version-2 checkpoint; malformed content raises ``DataError``.
 
-    Every tensor must be present, finite and shaped as the stored counts
-    and ``d`` imply, and each feature MLP must chain from ``feature_dim``
-    to ``d``; no other tensor may be present.
+    The config's numeric fields must have the types ``_CONFIG_FIELD_TYPES``
+    names.  Every tensor must be present, finite and shaped as the stored
+    counts and ``d`` imply, and each feature MLP must chain from
+    ``feature_dim`` to ``d``; no other tensor may be present.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -535,6 +554,9 @@ def load_model(path) -> ModelParams:
         )
     try:
         raw_cfg = payload["config"]
+        for name, kind, ok in _CONFIG_FIELD_TYPES:
+            if not ok(raw_cfg[name]):
+                raise DataError(f"checkpoint config {name} must be {kind}, not {raw_cfg[name]!r}")
         config = ModelConfig(
             d=raw_cfg["d"],
             norm=raw_cfg["norm"],
@@ -681,42 +703,69 @@ def _box_terms(p, bank, rows, saved, work) -> None:
     subgradient instead of a division by zero.  Boundary points take the
     inside branch.  ``bank`` holds the box centers and ``_box_constants``;
     ``rows`` picks each point's box from it, an index array or ``...`` where
-    points and boxes broadcast.  ``work`` is four float arrays and one bool
-    array of the scored shape.  Every step writes into ``saved`` or
-    ``work``, so a call allocates nothing of that shape.  ``p`` may be
-    ``work[0]``: the first step reads it and nothing after.
+    points and boxes broadcast.  When every row picks one box, that box's
+    bank rows broadcast instead of being gathered.  ``work`` is four float
+    arrays, one int64 and one bool array of the scored shape.  Every step
+    writes into ``saved`` or ``work``, so a call allocates nothing of that
+    shape.  ``p`` may be ``work[0]``: the first step reads it and nothing
+    after.
+
+    The kernel avoids numpy's slow loops.  On a 256 x 128 block with a
+    random inside mask (2-core Xeon, numpy 2.4), a masked (``where=``) copy
+    took ~100 us against ~7 us for a plain one, and ``np.sign`` written over
+    its input ~170 us against ~22 us out of place.  So the inside/outside choices are bitwise
+    selects on int64 views, which move each chosen value's bits unchanged,
+    and the sign goes to a free array; every element goes through the same
+    IEEE operations as with masked copies, NaN and signed zeros included.
+    Under L2 only a block holding a row of zero or NaN norm divides with a
+    mask.
     """
     c, w, half, inv_w, kappa, dkappa_dw = bank
     norms, signed_slope, d_width, *unit = saved
-    diff, offset, box, inv, inside = work
+    diff, offset, box, inv, outside, inside = work
+    if rows is not ... and np.all(rows == rows[0]):
+        rows = rows[0]  # one box: its (d,) bank rows broadcast
 
     def pick(table, out):  # the rows' boxes from one bank
-        return table if rows is ... else np.take(table, rows, axis=0, out=out)
+        if rows is ... or np.isscalar(rows):
+            return table[rows]
+        return np.take(table, rows, axis=0, out=out)
 
     np.subtract(p, pick(c, box), out=diff)
     np.abs(diff, out=offset)
     np.less_equal(offset, pick(half, box), out=inside)
+    np.subtract(inside.view(np.int8), 1, out=outside)  # -1 (all bits set) outside, 0 inside
     inv = pick(inv_w, inv)
     w = pick(w, box)
-    np.copyto(signed_slope, w)
-    np.copyto(signed_slope, inv, where=inside)
-    signed_slope *= np.sign(diff, out=diff)
+    _select(signed_slope, w, inv, outside)
+    signed_slope *= np.sign(diff, out=d_width)
     scaled = np.multiply(offset, inv, out=diff)
     dist = unit[0] if unit else box
     np.multiply(offset, w, out=dist)
     dist -= pick(kappa, d_width)
-    np.copyto(dist, scaled, where=inside)
+    _select(dist, dist, scaled, outside)
     np.subtract(offset, pick(dkappa_dw, d_width), out=d_width)
     np.negative(np.multiply(scaled, inv, out=scaled), out=scaled)
-    np.copyto(d_width, scaled, where=inside)
+    _select(d_width, d_width, scaled, outside)
     if not unit:
         dist.sum(axis=-1, out=norms)
         return
     np.sqrt(np.multiply(dist, dist, out=offset).sum(axis=-1, out=norms), out=norms)
     live = norms[..., None] > 0
     with np.errstate(invalid="ignore"):
+        if live.all():
+            np.divide(dist, norms[..., None], out=dist)
+            return
         np.divide(dist, norms[..., None], out=dist, where=live)
     np.copyto(dist, 0.0, where=~live)
+
+
+def _select(out, outside_value, inside_value, outside) -> None:
+    """``out`` = ``outside_value`` where ``outside`` is -1, ``inside_value`` where it is 0."""
+    out, inside_value = out.view(np.int64), inside_value.view(np.int64)
+    np.bitwise_xor(outside_value.view(np.int64), inside_value, out=out)
+    out &= outside
+    out ^= inside_value
 
 
 def _saved_arrays(shape: tuple, order: int) -> tuple[np.ndarray, ...]:
@@ -726,16 +775,18 @@ def _saved_arrays(shape: tuple, order: int) -> tuple[np.ndarray, ...]:
 
 def _work_arrays(shape: tuple) -> tuple[np.ndarray, ...]:
     """Empty ``work`` arrays of ``_box_terms`` for points of (broadcast) ``shape``."""
-    return tuple(np.empty(shape) for _ in range(4)) + (np.empty(shape, dtype=bool),)
+    return tuple(np.empty(shape) for _ in range(4)) + (
+        np.empty(shape, dtype=np.int64), np.empty(shape, dtype=bool)
+    )
 
 
 # Largest block, in cells, of the per-box paths (``box_score_rows`` with
 # ``box_ids``, ``translated_box_score_rows``): 2**15 float64 cells (256 KB;
-# 256 rows at d = 128).  A block's four float and one bool work arrays take
-# 1.1 MB, within the 2 MB L2 cache of one core.  On a 2-core Xeon, 2**13 to
-# 2**17 cells ran a 51,200 x 128 call equally fast; 2**16 let the forward's
-# peak reach 3.6 (n, d) arrays at d = 64 against 3.35 at 2**15.  The rule
-# reads the shapes alone.
+# 256 rows at d = 128).  A block's four float, one int64 and one bool work
+# arrays take 1.3 MB, within the 2 MB L2 cache of one core.  On a 2-core
+# Xeon, 2**13 to 2**17 cells ran a 51,200 x 128 call equally fast; 2**16 let
+# the forward's peak reach 3.6 (n, d) arrays at d = 64 against 3.35 at
+# 2**15.  The rule reads the shapes alone.
 BOX_SCORE_BLOCK_CELLS = 2**15
 
 
@@ -833,8 +884,9 @@ def box_score_rows(
     With ``box_ids``, each (n, d) point row is scored against its own box
     from the (n_boxes, d) banks.  The per-box constants (half-width, 1/w,
     kappa, d(kappa)/d(width)) are computed once on the banks and gathered
-    per block of rows, in row order, each block at most
-    ``BOX_SCORE_BLOCK_CELLS`` cells so that its temporaries stay in cache.
+    per block of rows, in row order, or broadcast where a block's rows share
+    one box; each block is at most ``BOX_SCORE_BLOCK_CELLS`` cells so that
+    its temporaries stay in cache.
     The box gradients are summed per box by one ``autodiff.scatter_rows``
     over all rows.  Each element goes through the same formulas in the same
     association as in the broadcast path, and each norm sums one row alone,

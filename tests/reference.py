@@ -2,9 +2,11 @@
 
 Everything here is written with plain Python loops and scalar arithmetic
 (the losses with small numpy helpers), separate from the library's
-vectorized code paths, so that agreement is meaningful.  The one exception
-is ``ref_binary_score_tensors``, the unfused graph that the library's fused
-binary scoring must reproduce bit for bit.  ``ref_save_model_v1`` is the
+vectorized code paths, so that agreement is meaningful.  The exceptions:
+``ref_binary_score_tensors`` is the unfused graph that the library's fused
+binary scoring must reproduce bit for bit; ``ref_box_terms`` is the box
+kernel with masked copies and an in-place ``np.sign``, which
+``model._box_terms`` must reproduce bit for bit; ``ref_save_model_v1`` is the
 version-1 checkpoint writer, which ``load_model`` still reads.
 """
 
@@ -183,6 +185,53 @@ def ref_binary_score_tensors(positions, bumps, rel, head, tail, boxes, order):
     return box_score_rows(head_final, hc, hw, order, box_ids=rel) + box_score_rows(
         tail_final, tc, tw, order, box_ids=rel
     )
+
+
+def ref_box_terms(p, bank, rows, saved, work) -> None:
+    """Write the norms of points ``p`` and the factors of their backward into ``saved``.
+
+    ``saved`` is (norms, signed slope, d dist/d width[, unit]): the signed
+    slope is d dist/d point, zero at the box center, and ``unit``, present
+    under L2 only, is d norm/d dist; an all-zero distance row gets a zero
+    subgradient instead of a division by zero.  Boundary points take the
+    inside branch.  ``bank`` holds the box centers and ``_box_constants``;
+    ``rows`` picks each point's box from it, an index array or ``...`` where
+    points and boxes broadcast.  ``work`` is four float arrays and one bool
+    array of the scored shape.  Every step writes into ``saved`` or
+    ``work``, so a call allocates nothing of that shape.  ``p`` may be
+    ``work[0]``: the first step reads it and nothing after.
+    """
+    c, w, half, inv_w, kappa, dkappa_dw = bank
+    norms, signed_slope, d_width, *unit = saved
+    diff, offset, box, inv, inside = work
+
+    def pick(table, out):  # the rows' boxes from one bank
+        return table if rows is ... else np.take(table, rows, axis=0, out=out)
+
+    np.subtract(p, pick(c, box), out=diff)
+    np.abs(diff, out=offset)
+    np.less_equal(offset, pick(half, box), out=inside)
+    inv = pick(inv_w, inv)
+    w = pick(w, box)
+    np.copyto(signed_slope, w)
+    np.copyto(signed_slope, inv, where=inside)
+    signed_slope *= np.sign(diff, out=diff)
+    scaled = np.multiply(offset, inv, out=diff)
+    dist = unit[0] if unit else box
+    np.multiply(offset, w, out=dist)
+    dist -= pick(kappa, d_width)
+    np.copyto(dist, scaled, where=inside)
+    np.subtract(offset, pick(dkappa_dw, d_width), out=d_width)
+    np.negative(np.multiply(scaled, inv, out=scaled), out=scaled)
+    np.copyto(d_width, scaled, where=inside)
+    if not unit:
+        dist.sum(axis=-1, out=norms)
+        return
+    np.sqrt(np.multiply(dist, dist, out=offset).sum(axis=-1, out=norms), out=norms)
+    live = norms[..., None] > 0
+    with np.errstate(invalid="ignore"):
+        np.divide(dist, norms[..., None], out=dist, where=live)
+    np.copyto(dist, 0.0, where=~live)
 
 
 def ref_save_model_v1(params, path) -> None:

@@ -64,6 +64,17 @@ class TestSynth:
             if name != "run.cfg":
                 assert a[name] == b[name], name
 
+    def test_invalid_utf8_config_is_data_error(self, synth_dir, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes((synth_dir / "run.cfg").read_bytes() + b"seed = 5\xff\n")
+        out = tmp_path / "rerun"
+        capsys.readouterr()
+        assert run("synth", "--config", config, "--out", out) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "utf-8" in err.lower()
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_validate_reports_clean(self, synth_dir, capsys):
         assert run("validate", "--data", synth_dir) == EXIT_OK
         out = capsys.readouterr().out

@@ -34,7 +34,9 @@ from boxkg.model import (
     softplus,
     translated_box_score_rows,
 )
-from boxkg.training import LossConfig, TrainConfig, batch_gradients, FactBatch, train
+from boxkg.training import (
+    LossConfig, NumericError, TrainConfig, batch_gradients, FactBatch, train,
+)
 
 
 def score(config, fact) -> float:
@@ -373,6 +375,29 @@ class TestGradients:
         for name, grad in grads.items():
             np.testing.assert_array_equal(grad, 0.0)
 
+    @pytest.mark.parametrize("norm", [1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("facts", ["unary-sampled", "unary-all-classes", "binary"])
+    def test_non_finite_point_raises(self, norm, value, facts):
+        # one coordinate of entity 1's point; its facts reach every path of
+        # the box kernel: per-box rows, broadcast classes, translated points
+        params = init_params((4, 3, 2), ModelConfig(d=4, norm=norm, mode="boxe"), seed=21)
+        params.point_emb[1, 2] = value
+        if facts == "binary":
+            batch = FactBatch(
+                binary_rel=np.array([0, 1]), binary_head=np.array([1, 0]),
+                binary_tail=np.array([2, 1]), binary_neg_head=np.array([[3], [0]]),
+                binary_neg_tail=np.array([[2], [3]]),
+            )
+        else:
+            batch = FactBatch(
+                unary_cls=np.array([0]), unary_ent=np.array([1]),
+                unary_neg_cls=np.array([[2]]) if facts == "unary-sampled" else None,
+            )
+        loss = LossConfig("ns" if facts == "unary-sampled" else "ce", margin=2.0)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
+            batch_gradients(params, batch, loss)
+
     # "full" scores every class (CE with unary_neg_cls=None), as joint-mlp does
     @pytest.mark.parametrize(
         "kind, norm, sampled",
@@ -462,34 +487,119 @@ class TestGradients:
 
 
 # "random" keeps the original draws; the named cases add rows spanning four
-# blocks at d = 128 in unsorted box order, a box that no row uses, points at
-# their box center (whole rows, so zero distance rows under L2), points on
-# box faces, and rows wider than a block, which score one row per block.  3
-# boxes reduce by one-hot matmul and 40 by bincount.
+# blocks at d = 128 in unsorted box order, the same rows in runs of one box
+# (whole blocks of one box, which broadcast its bank rows, and a block across
+# a run boundary), a box that no row uses, points at their box center (whole
+# rows, so zero distance rows under L2), points on box faces, and rows wider
+# than a block, which score one row per block.  3 boxes reduce by one-hot
+# matmul and 40 by bincount.
 BOX_ROW_CASES = [
     pytest.param(norm, n_boxes, "random", id=f"{norm}-{n_boxes}")
     for norm in (1, 2)
     for n_boxes in (3, 40)
 ] + [
     pytest.param(norm, n_boxes, case, id=f"{norm}-{n_boxes}-{case}")
-    for case in ("blocks", "unused-box", "center", "face", "wide")
+    for case in ("blocks", "runs", "unused-box", "center", "face", "wide")
     for norm in (1, 2)
     for n_boxes in (3, 40)
 ]
 
 
+def run_ids(rng, n_ids: int, run_lengths) -> np.ndarray:
+    """Sorted ids of distinct boxes in runs of the given lengths."""
+    boxes = np.sort(rng.choice(n_ids, len(run_lengths), replace=False))
+    return np.repeat(boxes, run_lengths)
+
+
+def block_box_counts(ids: np.ndarray, d: int) -> set[int]:
+    """How many distinct boxes each block of ``_blocked_terms`` holds."""
+    step = BOX_SCORE_BLOCK_CELLS // d
+    return {len(set(ids[start : start + step])) for start in range(0, len(ids), step)}
+
+
+def kernel_case(case: str, layout: str):
+    """Points, box centers and widths, and ``rows`` for one call of the box kernel.
+
+    ``layout`` "mixed" picks boxes at random per row, "single" one box for
+    every row, "broadcast" scores (n, 1, d) points against (1, C, d) boxes.
+    """
+    rng = np.random.default_rng(list(KERNEL_CASES).index(case))
+    n, d, n_boxes = 48, 6, 3
+    points = rng.uniform(-2.0, 2.0, (n, d))
+    center = rng.uniform(-1.0, 1.0, (n_boxes, d))
+    width = rng.uniform(1.0, 3.0, (n_boxes, d))
+    ids = rng.integers(0, n_boxes, n) if layout == "mixed" else np.full(n, 1)
+    if case in ("face", "signed-zero"):
+        # dyadic boxes, so that center +- half-width is exact
+        center = rng.integers(-4, 5, (n_boxes, d)) / 4.0
+        width = rng.integers(5, 12, (n_boxes, d)) / 4.0
+    if case == "center":  # whole rows, so zero-norm rows
+        points[::3] = center[ids[::3]]
+    elif case == "face":
+        side = rng.choice([-1.0, 1.0], (n, d))
+        points[::2] = (center[ids] + side * 0.5 * (width[ids] - 1.0))[::2]
+    elif case == "signed-zero":
+        center[:, ::2] = 0.0
+        points[:, ::2] = rng.choice([-0.0, 0.0], (n, (d + 1) // 2))
+        points[::4] = np.where(center[ids] == 0.0, -0.0, center[ids])[::4]  # zero norms
+    elif case == "non-finite":
+        points[rng.random((n, d)) < 0.1] = np.nan
+        points[rng.random((n, d)) < 0.1] = -np.nan
+        points[rng.random((n, d)) < 0.1] = np.inf
+        points[rng.random((n, d)) < 0.1] = -np.inf
+        center[0, 0], width[1, 1], width[2, 2] = np.nan, np.nan, np.inf
+    if layout == "broadcast":
+        return points[:, None, :], center[None], width[None], ...
+    return points, center, width, ids
+
+
+KERNEL_CASES = {
+    "random": "points inside and outside boxes",
+    "center": "rows at their box center",
+    "face": "points on box faces",
+    "signed-zero": "-0.0 and +0.0 points against +0.0 centers",
+    "non-finite": "NaN of either sign, +-inf, a NaN center, NaN and inf widths",
+}
+
+
 class TestBoxScoreRows:
+    @pytest.mark.parametrize("norm", [1, 2])
+    @pytest.mark.parametrize("layout", ["mixed", "single", "broadcast"])
+    @pytest.mark.parametrize("case", list(KERNEL_CASES))
+    def test_kernel_matches_masked_reference(self, case, layout, norm):
+        points, center, width, rows = kernel_case(case, layout)
+        shape = np.broadcast_shapes(points.shape, center.shape) if rows is ... else points.shape
+        results = []
+        for kernel, work in (
+            (model._box_terms, model._work_arrays(shape)),
+            (ref.ref_box_terms, tuple(np.empty(shape) for _ in range(4))
+             + (np.empty(shape, dtype=bool),)),
+        ):
+            saved = model._saved_arrays(shape, norm)
+            bank = (center,) + model._box_constants(width)
+            with np.errstate(invalid="ignore"):
+                kernel(points, bank, rows, saved, work)
+            results.append(saved)
+        for name, got, want in zip(("norms", "slope", "d_width", "unit"), *results):
+            assert got.tobytes() == want.tobytes(), name
+        if case != "non-finite":
+            assert np.all(np.isfinite(results[0][0]))
+
     @pytest.mark.parametrize("norm,n_boxes,case", BOX_ROW_CASES)
     def test_box_ids_match_gathered_boxes(self, norm, n_boxes, case):
         rng = np.random.default_rng(n_boxes + norm)
         n_rows, d = {
             "blocks": (4 * BOX_SCORE_BLOCK_CELLS // 128 - 30, 128),
+            "runs": (4 * BOX_SCORE_BLOCK_CELLS // 128 - 30, 128),
             "wide": (5, BOX_SCORE_BLOCK_CELLS + 3),
         }.get(case, (60, 4))
         points = rng.uniform(-2.0, 2.0, (n_rows, d))
         center = rng.uniform(-1.0, 1.0, (n_boxes, d))
         width = rng.uniform(1.0, 3.0, (n_boxes, d))
         ids = rng.integers(0, n_boxes - (case == "unused-box"), n_rows)
+        if case == "runs":
+            ids = run_ids(rng, n_boxes, [300, 212, n_rows - 512])
+            assert block_box_counts(ids, d) == {1, 2}
         upstream = rng.standard_normal(n_rows)
         if case == "center":
             points[::3] = center[ids[::3]]
@@ -549,13 +659,14 @@ class TestBoxScoreRows:
         assert peak / (n * d * 8) <= 3.5
 
 
-# cases for the fused binary node: rows spanning four blocks at d = 128, many
-# rows over three entities, rows with head == tail, and feature mode, where
-# the entity tables are graph nodes fed by the MLPs.  Tables of 20 entities
-# scatter by one-hot matmul, 200 by bincount.
+# cases for the fused binary node: rows spanning four blocks at d = 128, the
+# same rows in relation runs as training batches have them (see BOX_ROW_CASES),
+# many rows over three entities, rows with head == tail, and feature mode,
+# where the entity tables are graph nodes fed by the MLPs.  Tables of 20
+# entities scatter by one-hot matmul, 200 by bincount.
 BINARY_CASES = [
     pytest.param(norm, n_entities, case, id=f"{norm}-{n_entities}-{case}")
-    for case in ("blocks", "repeated", "self-loop", "features")
+    for case in ("blocks", "runs", "repeated", "self-loop", "features")
     for norm in (1, 2)
     for n_entities in (20, 200)
 ]
@@ -565,8 +676,8 @@ class TestBinaryScoreTensors:
     @pytest.mark.parametrize("norm,n_entities,case", BINARY_CASES)
     def test_matches_unfused_composition(self, norm, n_entities, case):
         rng = np.random.default_rng(n_entities + norm)
-        d = 128 if case == "blocks" else 4
-        n_rows = 3 * (BOX_SCORE_BLOCK_CELLS // d) + 37 if case == "blocks" else 60
+        d = 128 if case in ("blocks", "runs") else 4
+        n_rows = 3 * (BOX_SCORE_BLOCK_CELLS // d) + 37 if d == 128 else 60
         feature_mode = case == "features"
         config = ModelConfig(
             d=d, norm=norm, mode="mlp-boxe" if feature_mode else "boxe",
@@ -580,6 +691,9 @@ class TestBinaryScoreTensors:
         for name in ("rel_head_size_raw", "rel_tail_size_raw"):
             getattr(params, name)[:] = inv_softplus(rng.uniform(0.2, 2.0, (3, d)))
         rel = rng.integers(0, 3, n_rows)
+        if case == "runs":
+            rel = run_ids(rng, 3, [300, 212, n_rows - 512])
+            assert block_box_counts(rel, d) == {1, 2}
         entities = 3 if case == "repeated" else n_entities
         head, tail = rng.integers(0, entities, (2, n_rows))
         if case == "self-loop":
@@ -762,6 +876,35 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="bump_emb"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("d", True), ("d", 4.0), ("d", "4"),
+            ("norm", True), ("norm", 2.0),
+            ("feature_dim", False), ("feature_dim", 3.0), ("feature_dim", "3"),
+            ("embedding_scale", "x"), ("embedding_scale", True), ("embedding_scale", [0.5]),
+            ("embedding_scale", float("nan")), ("embedding_scale", float("-inf")),
+            pytest.param("embedding_scale", 10**400, id="embedding_scale-10**400"),
+            ("mlp_hidden", "ab"), ("mlp_hidden", 5), ("mlp_hidden", [5, 0]),
+            ("mlp_hidden", [5.0]), ("mlp_hidden", [True]), ("mlp_hidden", None),
+        ],
+    )
+    def test_config_field_types(self, tmp_path, field, value):
+        cfg = ModelConfig(d=4, norm=1, mode="mlp-boxe", mlp_hidden=(5,), feature_dim=3)
+        params = init_params((3, 1, 1), cfg, seed=37)
+        for writer in (ref.ref_save_model_v1, save_model):
+            path = tmp_path / "model.json"
+            writer(params, path)
+            payload = json.loads(path.read_text())
+            for good in (None, 1, 0.25) if field == "embedding_scale" else ():
+                payload["config"][field] = good  # the kinds of scale that load
+                path.write_text(json.dumps(payload))
+                assert load_model(path).config.embedding_scale == good
+            payload["config"][field] = value
+            path.write_text(json.dumps(payload))
+            with pytest.raises(DataError, match=f"config {field} must be"):
+                load_model(path)
 
     @pytest.mark.parametrize(
         "mutation, message",
