@@ -29,7 +29,10 @@ from .baselines import (
 from .data import (
     Binary,
     DataError,
+    Dataset,
     DropSpec,
+    ValidationReport,
+    Violation,
     dataset_stats,
     drop_edges,
     drop_shortfall,
@@ -137,6 +140,24 @@ def _write_run_config(args: argparse.Namespace, out_dir: Path) -> None:
         handle.writelines(lines)
 
 
+def _blocking_violations(report: ValidationReport) -> list[Violation]:
+    # an entity without edges is legal in a sparse graph; every other violation is a data error
+    return [v for v in report.violations if v.kind != "isolated_node"]
+
+
+def _load_valid_dataset(data_dir) -> Dataset:
+    """Load a dataset directory and reject it on any blocking violation."""
+    dataset = load_dataset_dir(data_dir)
+    blocking = _blocking_violations(validate(dataset))
+    if blocking:
+        first = blocking[0]
+        raise DataError(
+            f"{data_dir}: {len(blocking)} violation(s), first {first.kind}: {first.message}"
+            " (see boxkg validate)"
+        )
+    return dataset
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -145,7 +166,10 @@ def _cmd_synth(args) -> int:
     if args.rule:
         rules = [parse_rule(text) for text in args.rule]
     else:
-        rules = default_rules(args.classes, args.relations, args.edge_prob)
+        try:
+            rules = default_rules(args.classes, args.relations, args.edge_prob)
+        except ValueError as exc:
+            raise UsageError(f"--edge-prob: {exc}") from exc
     groups = _parse_ints(args.feature_groups) if args.feature_groups else None
     fractions = _parse_floats(args.label_fractions)
     if len(fractions) != 3:
@@ -170,8 +194,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_drop_edges(args) -> int:
+    try:
+        spec = DropSpec(fraction=args.fraction, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     dataset = load_dataset_dir(args.data)
-    spec = DropSpec(fraction=args.fraction, seed=args.seed)
     result = drop_edges(dataset, spec)
     out = ensure_dir(args.out)
     save_dataset(result, out)
@@ -206,7 +233,7 @@ def _resolve_train_mode(args, dataset) -> ModelConfig:
 def _cmd_train(args) -> int:
     if args.threads != 1:
         raise UsageError("only --threads 1 (deterministic mode) is supported")
-    dataset = load_dataset_dir(args.data)
+    dataset = _load_valid_dataset(args.data)
     try:
         model_config = _resolve_train_mode(args, dataset)
         loss = LossConfig(kind=args.loss, margin=args.margin, adv_alpha=args.adv_alpha)
@@ -240,7 +267,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    dataset = load_dataset_dir(args.data)
+    dataset = _load_valid_dataset(args.data)
     params = load_model(args.checkpoint)
     check_dataset_compat(params, dataset)
     features = dataset.features if params.config.feature_mode else None
@@ -306,14 +333,11 @@ def _cmd_validate(args) -> int:
     dataset = load_dataset_dir(args.data)
     report = validate(dataset)
     write_records(dataset_stats(dataset) + report.to_records(), sys.stdout)
-    # an entity without edges is legal in a sparse graph; every other violation is a data error
-    if any(v.kind != "isolated_node" for v in report.violations):
-        return EXIT_DATA
-    return EXIT_OK
+    return EXIT_DATA if _blocking_violations(report) else EXIT_OK
 
 
 def _cmd_baseline(args) -> int:
-    dataset = load_dataset_dir(args.data)
+    dataset = _load_valid_dataset(args.data)
     gold = dict(getattr(dataset.labels, args.split))
     if not gold:
         raise DataError(f"no {args.split} labels in the dataset")

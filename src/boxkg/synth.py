@@ -9,6 +9,7 @@ the relational structure then carry class signal, each only partially.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,6 +70,10 @@ def generate_synthetic(
     alone can reveal about the class.  With ``communities > 1`` the entities
     are partitioned into that many blocks and rules only fire within a
     block, giving a sparse, fragmented relational structure.
+
+    Cost: one uniform draw per (head, tail) pair of each rule, decided as
+    arrays one head at a time, so the Python work grows with the heads and
+    the kept edges, not with the pairs.
     """
     if min(n_entities, n_classes, n_relations, k) < 1:
         raise DataError("all counts must be >= 1")
@@ -83,6 +88,8 @@ def generate_synthetic(
         class_feature_groups = tuple(range(n_classes))
     if len(class_feature_groups) != n_classes:
         raise DataError("class_feature_groups must list one group per class")
+    if not all(math.isfinite(f) and f >= 0.0 for f in label_fractions):
+        raise DataError(f"label fractions must be finite and >= 0: {tuple(label_fractions)}")
     if sum(label_fractions) > 1.0 + 1e-9:
         raise DataError("label fractions must sum to at most 1")
 
@@ -111,15 +118,14 @@ def generate_synthetic(
     members = [np.flatnonzero(entity_class == c) for c in range(n_classes)]
     edges: set[Binary] = set()
     for rule in planted_rules:
-        for head in members[rule.src_class]:
-            draws = rng.random(len(members[rule.dst_class]))
-            for tail, draw in zip(members[rule.dst_class], draws):
-                if head == tail:
-                    continue
-                if communities > 1 and entity_community[head] != entity_community[tail]:
-                    continue
-                if draw < rule.prob:
-                    edges.add(Binary(rule.relation, int(head), int(tail)))
+        tails = members[rule.dst_class]
+        tail_community = entity_community[tails]
+        for head in members[rule.src_class].tolist():
+            # a draw for every pair, rejected ones too: the label split reads the stream next
+            keep = rng.random(len(tails)) < rule.prob
+            keep &= tails != head
+            keep &= tail_community == entity_community[head]
+            edges.update(Binary(rule.relation, head, tail) for tail in tails[keep].tolist())
 
     order = rng.permutation(n_entities)
     n_train = int(round(label_fractions[0] * n_entities))

@@ -7,17 +7,21 @@ vectorized code paths, so that agreement is meaningful.  The exceptions:
 binary scoring must reproduce bit for bit; ``ref_box_terms`` is the box
 kernel with masked copies and an in-place ``np.sign``, which
 ``model._box_terms`` must reproduce bit for bit; ``ref_save_model_v1`` is the
-version-1 checkpoint writer, which ``load_model`` still reads.
+version-1 checkpoint writer, which ``load_model`` still reads;
+``ref_generate_synthetic`` is the per-pair synthetic generator, whose
+datasets ``synth.generate_synthetic`` must reproduce bit for bit.
 """
 
 import json
 import math
+from typing import Sequence
 
 import numpy as np
 
 from boxkg import autodiff as ad
-from boxkg.data import Binary, Unary
+from boxkg.data import Binary, DataError, Dataset, LabelSplits, Unary, Vocabulary
 from boxkg.model import CHECKPOINT_FORMAT, box_score_rows
+from boxkg.synth import PlantedRule
 
 
 def ref_distance(p: float, lower: float, upper: float) -> float:
@@ -262,3 +266,87 @@ def ref_save_model_v1(params, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True)
         handle.write("\n")
+
+
+def ref_generate_synthetic(
+    n_entities: int,
+    n_classes: int,
+    n_relations: int,
+    k: int,
+    planted_rules: Sequence[PlantedRule],
+    seed: int,
+    *,
+    mean_radius: float = 3.0,
+    feature_noise: float = 1.0,
+    class_feature_groups: Sequence[int] | None = None,
+    label_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
+    communities: int = 1,
+) -> Dataset:
+    """The per-pair generator: each (head, tail) pair of each rule decided in a Python loop.
+
+    ``synth.generate_synthetic`` decides the same pairs as arrays, one head at
+    a time, and must return an equal ``Dataset`` for every input.
+    """
+    if min(n_entities, n_classes, n_relations, k) < 1:
+        raise DataError("all counts must be >= 1")
+    if n_classes > n_entities:
+        raise DataError(
+            f"degenerate config: {n_classes} classes for {n_entities} entities"
+        )
+    for rule in planted_rules:
+        if rule.relation >= n_relations or max(rule.src_class, rule.dst_class) >= n_classes:
+            raise DataError(f"rule {rule} references indices outside the vocabulary")
+    if class_feature_groups is None:
+        class_feature_groups = tuple(range(n_classes))
+    if len(class_feature_groups) != n_classes:
+        raise DataError("class_feature_groups must list one group per class")
+    if sum(label_fractions) > 1.0 + 1e-9:
+        raise DataError("label fractions must sum to at most 1")
+
+    rng = np.random.default_rng(seed)
+    vocab = Vocabulary(
+        entities=tuple(f"e{i:05d}" for i in range(n_entities)),
+        classes=tuple(f"c{i:03d}" for i in range(n_classes)),
+        relations=tuple(f"r{i:03d}" for i in range(n_relations)),
+    )
+
+    entity_class = np.arange(n_entities) % n_classes
+    if communities < 1:
+        raise DataError("communities must be >= 1")
+    # block assignment keeps every community balanced across classes
+    entity_community = (np.arange(n_entities) // n_classes) % communities
+
+    n_groups = max(class_feature_groups) + 1
+    directions = rng.standard_normal((n_groups, k))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    group_means = mean_radius * directions
+    group_of_entity = np.asarray(class_feature_groups)[entity_class]
+    features = group_means[group_of_entity] + feature_noise * rng.standard_normal(
+        (n_entities, k)
+    )
+
+    members = [np.flatnonzero(entity_class == c) for c in range(n_classes)]
+    edges: set[Binary] = set()
+    for rule in planted_rules:
+        for head in members[rule.src_class]:
+            draws = rng.random(len(members[rule.dst_class]))
+            for tail, draw in zip(members[rule.dst_class], draws):
+                if head == tail:
+                    continue
+                if communities > 1 and entity_community[head] != entity_community[tail]:
+                    continue
+                if draw < rule.prob:
+                    edges.add(Binary(rule.relation, int(head), int(tail)))
+
+    order = rng.permutation(n_entities)
+    n_train = int(round(label_fractions[0] * n_entities))
+    n_valid = int(round(label_fractions[1] * n_entities))
+    n_test = int(round(label_fractions[2] * n_entities))
+    cut1, cut2, cut3 = n_train, n_train + n_valid, n_train + n_valid + n_test
+    labels = LabelSplits(
+        train={int(e): int(entity_class[e]) for e in order[:cut1]},
+        valid={int(e): int(entity_class[e]) for e in order[cut1:cut2]},
+        test={int(e): int(entity_class[e]) for e in order[cut2:cut3]},
+    )
+
+    return Dataset(vocab=vocab, edges=tuple(edges), labels=labels, features=features)

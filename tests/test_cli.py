@@ -75,6 +75,27 @@ class TestSynth:
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("fractions", ["-0.2,0.6,0.6", "nan,0.1,0.1"])
+    def test_negative_or_nan_label_fraction_is_data_error(self, tmp_path, capsys, fractions):
+        out = tmp_path / "data"
+        code = run(
+            "synth", "--out", out, "--entities", 24, "--classes", 3, "--relations", 2,
+            f"--label-fractions={fractions}",
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "label fractions" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_edge_prob_out_of_range_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run("synth", "--out", out, "--edge-prob", 1.5) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--edge-prob" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_validate_reports_clean(self, synth_dir, capsys):
         assert run("validate", "--data", synth_dir) == EXIT_OK
         out = capsys.readouterr().out
@@ -115,6 +136,14 @@ class TestDropEdges:
                 assert a[name] == b[name], name
         assert (out_a / "dropped_edges.tsv").exists()
         assert "requested" in (out_a / "drop_report.txt").read_text()
+
+    @pytest.mark.parametrize("flags", [("--fraction", 1.5), ("--fraction", 0.2, "--seed", -1)])
+    def test_out_of_range_flag_is_usage_error(self, synth_dir, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        assert run("drop-edges", "--data", synth_dir, "--out", out, *flags) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_missing_data_dir_is_data_error(self, tmp_path):
         code = run(
@@ -262,6 +291,34 @@ class TestTrainEvaluate:
         )
         assert code == EXIT_DATA
         assert run("baseline", "--data", bad, "--model", "mlp", "--hidden", "8") == EXIT_DATA
+
+    def test_dataset_with_violations_rejected_before_use(
+        self, trained, synth_dir, tmp_path, capsys
+    ):
+        # a dropped edge that is still in edges.tsv: validate reports
+        # duplicate_fact and dropped_edge_still_present
+        bad = tmp_path / "bad"
+        shutil.copytree(synth_dir, bad)
+        lines = (bad / "edges.tsv").read_text().splitlines(keepends=True)
+        header = [line for line in lines if line.startswith("#")]
+        first = next(line for line in lines if not line.startswith("#"))
+        (bad / "dropped_edges.tsv").write_text("".join(header) + first)
+        assert run("validate", "--data", bad) == EXIT_DATA
+        capsys.readouterr()
+
+        out = tmp_path / "x"
+        assert run("train", "--data", bad, "--out", out, "--epochs", 1, "--dim", 4,
+                   "--hidden", "8", "--negatives", 2) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "duplicate_fact" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not (out / "model.json").exists()
+        code = run(
+            "evaluate", "--checkpoint", trained / "model.json", "--data", bad,
+            "--task", "classify",
+        )
+        assert code == EXIT_DATA
+        assert run("baseline", "--data", bad, "--model", "lp") == EXIT_DATA
 
     @pytest.mark.parametrize("flag", ["--negatives", "--batch-size", "--eval-every"])
     def test_non_positive_training_flag_is_usage_error(self, synth_dir, tmp_path, flag):

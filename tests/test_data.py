@@ -18,6 +18,7 @@ from boxkg.data import (
 )
 from boxkg.io import load_dataset, load_dataset_dir, save_dataset
 from boxkg.synth import PlantedRule, default_rules, generate_synthetic, parse_rule
+from reference import ref_generate_synthetic
 
 
 def small_dataset(edges, n_entities=None, labels=None, features=None, dropped=()):
@@ -315,6 +316,56 @@ class TestSyntheticGenerator:
         mean2 = feats[classes == 2].mean(axis=0)
         assert np.linalg.norm(mean0 - mean1) < 0.1
         assert np.linalg.norm(mean0 - mean2) > 1.0
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            # one community, same-class rules (src == dst: the head == tail skip)
+            ((30, 3, 2, 4, default_rules(3, 2, 0.4), 1), {}),
+            # several communities, src == dst and src != dst rules
+            (
+                (48, 4, 2, 3, default_rules(4, 2, 0.6) + [PlantedRule(1, 0, 2, 0.5)], 2),
+                {"communities": 3},
+            ),
+            # two rules that plant the same edge, next to prob 0.0 and 1.0
+            (
+                (
+                    20, 2, 2, 2,
+                    [PlantedRule(0, 0, 1, 0.5), PlantedRule(0, 0, 1, 0.5),
+                     PlantedRule(1, 1, 0, 0.0), PlantedRule(1, 1, 1, 1.0)],
+                    3,
+                ),
+                {},
+            ),
+            # shared feature groups, certain rules across communities
+            (
+                (40, 4, 1, 6, [PlantedRule(0, c, (c + 1) % 4, 1.0) for c in range(4)], 4),
+                {"class_feature_groups": [0, 0, 1, 1], "communities": 2},
+            ),
+            # classes 1-3 have one member each: their same-class pairs are all
+            # rejected, yet each head still takes its draw
+            (
+                (5, 4, 2, 2, [PlantedRule(0, 1, 1, 0.9), PlantedRule(1, 0, 0, 0.9),
+                              PlantedRule(1, 2, 0, 0.9), PlantedRule(0, 3, 3, 0.9)], 5),
+                {},
+            ),
+            # heads with no tail in their community, and a label split that
+            # leaves entities unlabeled
+            (
+                (12, 3, 1, 2, default_rules(3, 1, 0.7), 6),
+                {"communities": 4, "label_fractions": (0.5, 0.25, 0.0)},
+            ),
+        ],
+    )
+    def test_matches_per_pair_reference(self, args, kwargs):
+        got = generate_synthetic(*args, **kwargs)
+        want = ref_generate_synthetic(*args, **kwargs)
+        assert got.vocab == want.vocab
+        assert got.edges == want.edges
+        assert got.labels.train == want.labels.train
+        assert got.labels.valid == want.labels.valid
+        assert got.labels.test == want.labels.test
+        assert got.features.tobytes() == want.features.tobytes()
 
     def test_parse_rule(self):
         rule = parse_rule("1:0>2:0.25")
