@@ -118,10 +118,9 @@ class Dataset:
     dropped_edges: tuple[Binary, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(self.edges, key=fact_sort_key)))
-        object.__setattr__(
-            self, "dropped_edges", tuple(sorted(self.dropped_edges, key=fact_sort_key))
-        )
+        # a Binary's own tuple order (rel, head, tail) is fact_sort_key's order
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "dropped_edges", tuple(sorted(self.dropped_edges)))
         if self.features is not None:
             feats = np.asarray(self.features, dtype=np.float64)
             if feats.ndim != 2:

@@ -10,6 +10,8 @@ with shortest round-trip precision, so save/load is lossless.
 from __future__ import annotations
 
 import logging
+import os
+import stat
 from pathlib import Path
 from typing import Mapping
 
@@ -201,8 +203,25 @@ def _format_float(value: float) -> str:
     return repr(float(value))
 
 
+def open_fresh(path):
+    """``open(path, "w")`` on a new file: an existing regular file is removed first.
+
+    On ext4 mounted with ``discard`` (2-vCPU AMD EPYC), truncating and
+    rewriting a file cost 40-80 ms from the third write of one path on;
+    writing a temporary file and renaming it over the target cost the same,
+    and removing the file and creating it anew ~0.04 ms.  A symlink is left
+    alone and opened through, as ``open`` would.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", encoding="utf-8")
+
+
 def write_edges(edges, vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_fresh(path) as handle:
         for edge in edges:
             handle.write(
                 f"{vocab.entities[edge.head]}\t{vocab.relations[edge.rel]}"
@@ -211,13 +230,13 @@ def write_edges(edges, vocab: Vocabulary, path) -> None:
 
 
 def write_labels(mapping: Mapping[int, int], vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_fresh(path) as handle:
         for ent in sorted(mapping):
             handle.write(f"{vocab.entities[ent]}\t{vocab.classes[mapping[ent]]}\n")
 
 
 def write_features(features: np.ndarray, vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_fresh(path) as handle:
         handle.write(f"k={features.shape[1]}\n")
         for ent, name in enumerate(vocab.entities):
             row = ",".join(_format_float(v) for v in features[ent])

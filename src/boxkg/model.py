@@ -45,6 +45,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import DataError, Vocabulary
 from .geometry import check_norm_order, lx_norm, piecewise_distance
+from .io import open_fresh
 
 if TYPE_CHECKING:
     from .autodiff import Tensor
@@ -478,7 +479,7 @@ def save_model(params: ModelParams, path) -> None:
         },
         "tensors": tensors,
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_fresh(path) as handle:
         json.dump(payload, handle, sort_keys=True)
         handle.write("\n")
 
@@ -694,21 +695,22 @@ def _box_constants(width: np.ndarray) -> tuple[np.ndarray, ...]:
     return width, half, inv_w, kappa, dkappa_dw
 
 
-def _box_terms(p, bank, rows, saved, work) -> None:
+def _box_terms(p, bank, rows, saved, work, order: int) -> None:
     """Write the norms of points ``p`` and the factors of their backward into ``saved``.
 
-    ``saved`` is (norms, signed slope, d dist/d width[, unit]): the signed
-    slope is d dist/d point, zero at the box center, and ``unit``, present
-    under L2 only, is d norm/d dist; an all-zero distance row gets a zero
-    subgradient instead of a division by zero.  Boundary points take the
-    inside branch.  ``bank`` holds the box centers and ``_box_constants``;
-    ``rows`` picks each point's box from it, an index array or ``...`` where
-    points and boxes broadcast.  When every row picks one box, that box's
-    bank rows broadcast instead of being gathered.  ``work`` is four float
-    arrays, one int64 and one bool array of the scored shape.  Every step
-    writes into ``saved`` or ``work``, so a call allocates nothing of that
-    shape.  ``p`` may be ``work[0]``: the first step reads it and nothing
-    after.
+    ``saved`` is (norms, d norm/d point, d norm/d width).  Under L1 the two
+    factors are the signed slope d dist/d point, zero at the box center, and
+    d dist/d width; under L2 each is multiplied by the unit vector
+    d norm/d dist = dist / norm, which is zero on an all-zero distance row
+    instead of a division by zero.  Boundary points take the inside branch.
+    ``bank`` holds the box centers and ``_box_constants``; ``rows`` picks
+    each point's box from it, an index array or ``...`` where points and
+    boxes broadcast.  When every row picks one box, that box's bank rows
+    broadcast instead of being gathered.  ``work`` is four float arrays, one
+    int64 and one bool array of the scored shape; the distance and, under
+    L2, the unit vector live in its third.  Every step writes into ``saved``
+    or ``work``, so a call allocates nothing of that shape.  ``p`` may be
+    ``work[0]``: the first step reads it and nothing after.
 
     The kernel avoids numpy's slow loops.  On a 256 x 128 block with a
     random inside mask (2-core Xeon, numpy 2.4), a masked (``where=``) copy
@@ -721,7 +723,7 @@ def _box_terms(p, bank, rows, saved, work) -> None:
     mask.
     """
     c, w, half, inv_w, kappa, dkappa_dw = bank
-    norms, signed_slope, d_width, *unit = saved
+    norms, signed_slope, d_width = saved
     diff, offset, box, inv, outside, inside = work
     if rows is not ... and np.all(rows == rows[0]):
         rows = rows[0]  # one box: its (d,) bank rows broadcast
@@ -740,14 +742,13 @@ def _box_terms(p, bank, rows, saved, work) -> None:
     _select(signed_slope, w, inv, outside)
     signed_slope *= np.sign(diff, out=d_width)
     scaled = np.multiply(offset, inv, out=diff)
-    dist = unit[0] if unit else box
-    np.multiply(offset, w, out=dist)
+    dist = np.multiply(offset, w, out=box)
     dist -= pick(kappa, d_width)
     _select(dist, dist, scaled, outside)
     np.subtract(offset, pick(dkappa_dw, d_width), out=d_width)
     np.negative(np.multiply(scaled, inv, out=scaled), out=scaled)
     _select(d_width, d_width, scaled, outside)
-    if not unit:
+    if order == 1:
         dist.sum(axis=-1, out=norms)
         return
     np.sqrt(np.multiply(dist, dist, out=offset).sum(axis=-1, out=norms), out=norms)
@@ -755,9 +756,11 @@ def _box_terms(p, bank, rows, saved, work) -> None:
     with np.errstate(invalid="ignore"):
         if live.all():
             np.divide(dist, norms[..., None], out=dist)
-            return
-        np.divide(dist, norms[..., None], out=dist, where=live)
-    np.copyto(dist, 0.0, where=~live)
+        else:
+            np.divide(dist, norms[..., None], out=dist, where=live)
+            np.copyto(dist, 0.0, where=~live)
+    signed_slope *= dist
+    d_width *= dist
 
 
 def _select(out, outside_value, inside_value, outside) -> None:
@@ -768,9 +771,9 @@ def _select(out, outside_value, inside_value, outside) -> None:
     out ^= inside_value
 
 
-def _saved_arrays(shape: tuple, order: int) -> tuple[np.ndarray, ...]:
+def _saved_arrays(shape: tuple) -> tuple[np.ndarray, ...]:
     """Empty ``saved`` arrays of ``_box_terms`` for points of (broadcast) ``shape``."""
-    return (np.empty(shape[:-1]),) + tuple(np.empty(shape) for _ in range(2 if order == 1 else 3))
+    return np.empty(shape[:-1]), np.empty(shape), np.empty(shape)
 
 
 def _work_arrays(shape: tuple) -> tuple[np.ndarray, ...]:
@@ -806,7 +809,7 @@ class _BlockWork(threading.local):
 _BLOCK_WORK = _BlockWork()
 
 
-def _blocked_terms(n: int, d: int, order: int, terms) -> tuple[np.ndarray, ...]:
+def _blocked_terms(n: int, d: int, terms) -> tuple[np.ndarray, ...]:
     """Run ``terms`` over blocks of rows in order; returns the n-row ``saved`` arrays.
 
     ``terms(rows, saved, work)`` writes ``_box_terms`` of the rows a slice
@@ -816,7 +819,7 @@ def _blocked_terms(n: int, d: int, order: int, terms) -> tuple[np.ndarray, ...]:
     """
     step = max(1, BOX_SCORE_BLOCK_CELLS // d)
     flat = _BLOCK_WORK.arrays if step * d <= BOX_SCORE_BLOCK_CELLS else _work_arrays((d,))
-    saved = _saved_arrays((n, d), order)
+    saved = _saved_arrays((n, d))
     for start in range(0, n, step):
         rows = slice(start, start + step)
         size = min(step, n - start)
@@ -832,20 +835,26 @@ def _box_score_node(saved, sinks, center: "Tensor", width: "Tensor", box_ids) ->
     ``(tensor, None)`` when the tensor holds the points themselves,
     ``(table, index)`` when point i took ``table[index[i]]``.  The point
     gradient goes to each in turn, scattered onto tables by
-    ``autodiff.scatter_rows``.  The backward forms its terms in ``saved``,
-    so a graph through the node backpropagates once; a second raises.
+    ``autodiff.scatter_rows``.  The backward multiplies ``g`` into each
+    saved factor in place and lets go of it at its last use: d norm/d width
+    once the width gradient is summed, before any point scatter, and
+    d norm/d point, which becomes the point gradient, when it returns.  So a
+    graph through the node backpropagates once; a second raises.
     """
-    norms, signed_slope, d_width, *unit = saved
+    norms, *factors = saved  # factors: d norm/d point, d norm/d width; emptied by the backward
 
     def per_box(g_rows):
         # broadcast boxes are summed back by ``_accumulate``
         return g_rows if box_ids is None else ad.scatter_rows(box_ids, g_rows, len(center.data))
 
     def backward(g):
-        g_dist = np.multiply(g[..., None], unit[0], out=unit[0]) if unit else g[..., None]
+        g = g[..., None]
+        d_point, d_width = factors
+        factors.clear()
         if width.requires_grad:
-            width._accumulate(per_box(np.multiply(g_dist, d_width, out=d_width)))
-        g_points = np.multiply(g_dist, signed_slope, out=signed_slope)
+            width._accumulate(per_box(np.multiply(g, d_width, out=d_width)))
+        del d_width
+        g_points = np.multiply(g, d_point, out=d_point)
         for source, index in sinks:
             if source.requires_grad:
                 source._accumulate(
@@ -872,10 +881,11 @@ def box_score_rows(
     gradient carries the d(kappa)/d(width) term.  Boundary points take the
     inside-branch subgradient and a point at the box center a zero one; an
     all-zero distance row under the L2 norm gets a zero subgradient instead
-    of a division by zero.  The forward keeps only what the backward needs:
-    the signed slope d dist/d point, d dist/d width and, under L2, the unit
-    vector d norm/d dist.  The backward multiplies ``g * unit`` by each, in
-    place in those arrays, so a graph through it backpropagates once.
+    of a division by zero.  The forward keeps two arrays of the scored shape
+    beside the scores, d norm/d point and d norm/d width (under L2 the
+    unit vector is already multiplied in).  The backward multiplies ``g``
+    into each in place and frees d norm/d width once the width gradient is
+    summed, so a graph through it backpropagates once.
 
     Without ``box_ids``, ``points`` and the center/width boxes broadcast
     against each other, for example (n, 1, d) points against (1, C, d) boxes
@@ -896,12 +906,12 @@ def box_score_rows(
     bank = (center.data,) + _box_constants(width.data)
     if box_ids is None:
         shape = np.broadcast_shapes(p.shape, center.data.shape, width.data.shape)
-        saved = _saved_arrays(shape, order)
-        _box_terms(p, bank, ..., saved, _work_arrays(shape))
+        saved = _saved_arrays(shape)
+        _box_terms(p, bank, ..., saved, _work_arrays(shape), order)
     else:
         saved = _blocked_terms(
-            len(box_ids), p.shape[-1], order,
-            lambda rows, saved, work: _box_terms(p[rows], bank, box_ids[rows], saved, work),
+            len(box_ids), p.shape[-1],
+            lambda rows, saved, work: _box_terms(p[rows], bank, box_ids[rows], saved, work, order),
         )
     return _box_score_node(saved, ((points, None),), center, width, box_ids)
 
@@ -922,9 +932,11 @@ def translated_box_score_rows(
     other entity's bump, scored against its own box ``box_ids`` from the
     banks.  Each block of rows gathers and adds its own points, so the (n, d)
     gathered and translated points are never built, and the forward keeps
-    what ``box_score_rows`` keeps.  The backward scatters the point gradient
-    onto ``positions`` at ``point_ids``, then onto ``bumps`` at
-    ``bump_ids``.  Scores and gradients are bit-identical to gathering with
+    what ``box_score_rows`` keeps: two (n, d) arrays.  The backward frees
+    d norm/d width before it scatters the point gradient onto ``positions``
+    at ``point_ids``, then onto ``bumps`` at ``bump_ids``; the point
+    gradient, formed in the other saved array, goes when it returns.
+    Scores and gradients are bit-identical to gathering with
     ``autodiff.take_rows``, adding, and calling ``box_score_rows``.
     """
     pos, bump = positions.data, bumps.data
@@ -933,9 +945,9 @@ def translated_box_score_rows(
     def terms(rows, saved, work):
         points = np.take(pos, point_ids[rows], axis=0, out=work[0])
         points += np.take(bump, bump_ids[rows], axis=0, out=work[1])
-        _box_terms(points, bank, box_ids[rows], saved, work)
+        _box_terms(points, bank, box_ids[rows], saved, work, order)
 
-    saved = _blocked_terms(len(box_ids), pos.shape[-1], order, terms)
+    saved = _blocked_terms(len(box_ids), pos.shape[-1], terms)
     sinks = ((positions, point_ids), (bumps, bump_ids))
     return _box_score_node(saved, sinks, center, width, box_ids)
 
@@ -976,8 +988,11 @@ def binary_score_tensors(
 
     The head side scores ``positions[head] + bumps[tail]`` against the
     relation's head box, the tail side ``positions[tail] + bumps[head]``
-    against its tail box.  Per call the graph keeps two or three (n, d)
-    arrays per side, as ``box_score_rows`` does, and no gathered rows.
+    against its tail box.  Per call the graph keeps two (n, d) arrays per
+    side, as ``box_score_rows`` does, and no gathered rows.  The backward
+    runs one side after the other and frees each side's arrays as it goes,
+    so its first entity scatter meets at most four (n, d) arrays: the other
+    side's two, its own point gradient and the scatter's index.
     """
     rel = np.asarray(rel, dtype=np.intp)
     head = np.asarray(head, dtype=np.intp)

@@ -439,6 +439,7 @@ def train(
                 aborted = True
                 break
             adam_step(opt, live, grads)
+            del grads  # not held through the next step's graph
             for weight in decayed:
                 weight *= decay
             epoch_loss += loss_value

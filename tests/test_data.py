@@ -13,6 +13,7 @@ from boxkg.data import (
     dataset_stats,
     drop_edges,
     drop_shortfall,
+    fact_sort_key,
     incident_counts,
     validate,
 )
@@ -31,6 +32,18 @@ def small_dataset(edges, n_entities=None, labels=None, features=None, dropped=()
         features=features,
         dropped_edges=tuple(dropped),
     )
+
+
+def test_edges_sorted_in_fact_order():
+    # a dataset sorts its edges by the tuple order of Binary; that is
+    # fact_sort_key's order, also where rel and head repeat
+    rng = np.random.default_rng(4)
+    rows = rng.integers(0, (2, 3, 40), (400, 3))
+    edges = [Binary(*(int(v) for v in row)) for row in rows]
+    ds = small_dataset(edges[:300], n_entities=40, dropped=edges[300:])
+    assert ds.edges == tuple(sorted(edges[:300], key=fact_sort_key))
+    assert ds.dropped_edges == tuple(sorted(edges[300:], key=fact_sort_key))
+    assert len({(e.rel, e.head) for e in ds.edges}) < len(set(ds.edges))
 
 
 class TestVocabulary:
@@ -162,6 +175,23 @@ class TestRoundTrip:
         save_dataset(again, out2)
         for name in sorted(p.name for p in out.iterdir()):
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_rewrite_into_same_directory(self, tmp_path):
+        # the writers replace existing files; a symlink stays and is written through
+        ds = drop_edges(generate_synthetic(20, 3, 2, 4, default_rules(3, 2, 0.4), seed=5),
+                        DropSpec(0.1, seed=2))
+        out = tmp_path / "ds"
+        save_dataset(ds, out)
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        target = tmp_path / "elsewhere.tsv"
+        target.write_text("stale\n" * 1000)
+        (out / "labels_valid.tsv").unlink()
+        (out / "labels_valid.tsv").symlink_to(target)
+        for _ in range(3):
+            save_dataset(ds, out)
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        assert (out / "labels_valid.tsv").is_symlink()
+        assert target.read_bytes() == first["labels_valid.tsv"]
 
 
 class TestDropEdges:
